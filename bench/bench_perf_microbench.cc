@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot paths: the two
- * systolic engines, the GP surrogate, hypervolume, episode rollouts, and
+ * systolic engines, the GP surrogate, hypervolume, one SMS-EGO iteration
+ * (GP fit, acquisition screen, hypervolume update), episode rollouts, and
  * the batch-parallel evaluation core at 1/2/4/8 worker threads. These
  * quantify the cost of one Phase 2 evaluation and one Phase 1 validation
  * - the quantities that set AutoPilot's end-to-end runtime - and the
@@ -10,6 +11,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <set>
@@ -23,6 +25,7 @@
 #include "dse/evaluator.h"
 #include "dse/gaussian_process.h"
 #include "dse/hypervolume.h"
+#include "dse/optimizer.h"
 #include "io/journal.h"
 #include "nn/e2e_template.h"
 #include "power/npu_power.h"
@@ -301,6 +304,211 @@ BENCHMARK(BM_BatchEvaluate128)
     ->Arg(8)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/**
+ * One SMS-EGO iteration of BayesOpt at archive size N, split into its
+ * three layers, each reported as a per-iteration counter in ms:
+ *  - fit_ms: refit the three objective GPs after the archive grew by one
+ *    point (the loop's steady state);
+ *  - screen_ms: score 256 + N candidates (GP posterior, then the
+ *    hypervolume gain of the LCB point against the current front);
+ *  - hv_ms: the archive hypervolume the history update records.
+ * BM_BoIteration runs the optimizer's path (one shared GP factor
+ * extended by a row, one HypervolumeGain per iteration);
+ * BM_BoIterationReference runs the path it replaced (three per-objective
+ * GPs factorized from scratch, hypervolumeContribution per candidate).
+ * Both score the same pool serially, so the two are comparable.
+ */
+struct BoIterationFixture
+{
+    std::vector<std::vector<double>> inputs;
+    std::vector<std::vector<double>> targets; ///< One per objective.
+    std::vector<dse::Objectives> archive;
+    std::vector<dse::Objectives> front;
+    std::vector<std::vector<double>> pool;
+    dse::Objectives reference = dse::OptimizerConfig().referencePoint;
+
+    explicit BoIterationFixture(std::size_t n)
+    {
+        dse::DseEvaluator evaluator(
+            benchDatabase(), autopilot::airlearning::ObstacleDensity::Dense);
+        const dse::DesignSpace &space = evaluator.space();
+        util::Rng rng(0xB0 + n);
+        std::set<dse::Encoding> seen;
+        std::vector<dse::Encoding> encodings;
+        while (encodings.size() < n) {
+            const dse::Encoding encoding = space.randomEncoding(rng);
+            if (seen.insert(encoding).second)
+                encodings.push_back(encoding);
+        }
+        targets.resize(3);
+        for (const dse::Encoding &encoding : encodings) {
+            const dse::Evaluation &evaluation = evaluator.evaluate(encoding);
+            inputs.push_back(space.features(encoding));
+            archive.push_back(evaluation.objectives);
+            for (std::size_t d = 0; d < 3; ++d)
+                targets[d].push_back(evaluation.objectives[d]);
+        }
+        front = dse::paretoFront(archive);
+        for (int c = 0; c < 256; ++c)
+            pool.push_back(space.features(space.randomEncoding(rng)));
+        for (const dse::Encoding &encoding : encodings)
+            pool.push_back(space.features(space.neighbor(encoding, rng)));
+    }
+};
+
+double
+secondsSince(std::chrono::steady_clock::time_point start)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+}
+
+template <bool Shared>
+void
+runBoIteration(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    const BoIterationFixture fixture(n);
+    const std::vector<std::vector<double>> grown_from(
+        fixture.inputs.begin(), fixture.inputs.end() - 1);
+    std::vector<std::vector<double>> targets_from;
+    for (const std::vector<double> &column : fixture.targets)
+        targets_from.emplace_back(column.begin(), column.end() - 1);
+
+    double fit_s = 0.0, screen_s = 0.0, hv_s = 0.0;
+    for (auto _ : state) {
+        double sum = 0.0;
+        if constexpr (Shared) {
+            state.PauseTiming(); // The previous iteration's fit.
+            dse::SharedGaussianProcess gp;
+            gp.fit(grown_from, targets_from);
+            state.ResumeTiming();
+
+            auto start = std::chrono::steady_clock::now();
+            gp.fit(fixture.inputs, fixture.targets);
+            fit_s += secondsSince(start);
+
+            start = std::chrono::steady_clock::now();
+            const dse::HypervolumeGain gain(fixture.front,
+                                            fixture.reference);
+            for (const std::vector<double> &features : fixture.pool) {
+                const std::vector<dse::GpPrediction> predictions =
+                    gp.predict(features);
+                dse::Objectives lcb(3);
+                for (std::size_t d = 0; d < 3; ++d)
+                    lcb[d] = predictions[d].mean - predictions[d].stddev();
+                sum += gain.contribution(lcb);
+            }
+            screen_s += secondsSince(start);
+        } else {
+            auto start = std::chrono::steady_clock::now();
+            std::vector<dse::GaussianProcess> models(3);
+            for (std::size_t d = 0; d < 3; ++d)
+                models[d].fit(fixture.inputs, fixture.targets[d]);
+            fit_s += secondsSince(start);
+
+            start = std::chrono::steady_clock::now();
+            for (const std::vector<double> &features : fixture.pool) {
+                dse::Objectives lcb(3);
+                for (std::size_t d = 0; d < 3; ++d) {
+                    const dse::GpPrediction prediction =
+                        models[d].predict(features);
+                    lcb[d] = prediction.mean - prediction.stddev();
+                }
+                sum += dse::hypervolumeContribution(fixture.front, lcb,
+                                                    fixture.reference);
+            }
+            screen_s += secondsSince(start);
+        }
+
+        const auto start = std::chrono::steady_clock::now();
+        sum += dse::hypervolume(fixture.archive, fixture.reference);
+        hv_s += secondsSince(start);
+        benchmark::DoNotOptimize(sum);
+    }
+    const auto per_iteration_ms = [&](double seconds) {
+        return benchmark::Counter(seconds * 1e3 /
+                                  static_cast<double>(state.iterations()));
+    };
+    state.counters["fit_ms"] = per_iteration_ms(fit_s);
+    state.counters["screen_ms"] = per_iteration_ms(screen_s);
+    state.counters["hv_ms"] = per_iteration_ms(hv_s);
+    state.counters["front"] =
+        benchmark::Counter(static_cast<double>(fixture.front.size()));
+    state.counters["candidates"] =
+        benchmark::Counter(static_cast<double>(fixture.pool.size()));
+}
+
+void
+BM_BoIteration(benchmark::State &state)
+{
+    runBoIteration<true>(state);
+}
+BENCHMARK(BM_BoIteration)->Arg(100)->Arg(400)->Unit(benchmark::kMillisecond);
+
+void
+BM_BoIterationReference(benchmark::State &state)
+{
+    runBoIteration<false>(state);
+}
+BENCHMARK(BM_BoIterationReference)
+    ->Arg(100)
+    ->Arg(400)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * Hypervolume gain of 256 candidates against a mutually non-dominated
+ * front of N points on the simplex x + y + z = 1: per-candidate
+ * hypervolumeContribution (reference) against one HypervolumeGain built
+ * for the front (gain). Candidates scatter around the front, so some
+ * are dominated, some clipped and most gain volume.
+ */
+void
+BM_HypervolumeContribution(benchmark::State &state, bool useGain)
+{
+    util::Rng rng(0x4F);
+    std::vector<dse::Objectives> front;
+    while (front.size() < static_cast<std::size_t>(state.range(0))) {
+        const double a = rng.uniform();
+        const double b = rng.uniform() * (1.0 - a);
+        front.push_back({a, b, 1.0 - a - b});
+    }
+    front = dse::paretoFront(front);
+    std::vector<dse::Objectives> candidates;
+    for (int c = 0; c < 256; ++c) {
+        const double a = rng.uniform();
+        const double b = rng.uniform() * (1.0 - a);
+        const double scale = rng.uniform(0.8, 1.2);
+        candidates.push_back(
+            {a * scale, b * scale, (1.0 - a - b) * scale});
+    }
+    const dse::Objectives reference = {1.1, 1.1, 1.1};
+    for (auto _ : state) {
+        double sum = 0.0;
+        if (useGain) {
+            const dse::HypervolumeGain gain(front, reference);
+            for (const dse::Objectives &candidate : candidates)
+                sum += gain.contribution(candidate);
+        } else {
+            for (const dse::Objectives &candidate : candidates)
+                sum += dse::hypervolumeContribution(front, candidate,
+                                                    reference);
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.counters["front"] =
+        benchmark::Counter(static_cast<double>(front.size()));
+}
+BENCHMARK_CAPTURE(BM_HypervolumeContribution, reference, false)
+    ->Arg(24)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_HypervolumeContribution, gain, true)
+    ->Arg(24)
+    ->Arg(64)
+    ->Unit(benchmark::kMicrosecond);
 
 /**
  * Cold-cache batch evaluation of 160 distinct points through each

@@ -59,37 +59,36 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
     }
 
     // --- Model-guided iterations ---
+    // One GP per objective over the shared archive inputs: the archive
+    // only grows, so each refit extends the shared factor by the new
+    // rows (bit-identical to refactorizing, see SharedGaussianProcess).
     util::Telemetry &telemetry = util::Telemetry::instance();
+    SharedGaussianProcess models(cfg.gp);
+    std::vector<std::vector<double>> inputs;
     while (evaluated < config.evaluationBudget) {
         util::TraceSpan iteration_span("bo.iteration", "optimizer");
         if (telemetry.enabled())
             telemetry.metrics().counter("bo.iterations").add();
 
-        // Fit one GP per objective on the full archive.
-        std::vector<std::vector<double>> inputs;
-        inputs.reserve(result.archive.size());
-        for (const Evaluation &evaluation : result.archive)
-            inputs.push_back(space.features(evaluation.encoding));
-
         const std::size_t num_objectives =
             result.archive.front().objectives.size();
-        std::vector<GaussianProcess> models;
-        models.reserve(num_objectives);
         {
             util::TraceSpan fit_span("bo.fit_gp", "optimizer");
             util::ScopedTimer fit_timer(
                 telemetry.enabled()
                     ? &telemetry.metrics().histogram("bo.fit_gp_s")
                     : nullptr);
+            for (std::size_t i = inputs.size(); i < result.archive.size();
+                 ++i)
+                inputs.push_back(
+                    space.features(result.archive[i].encoding));
+            std::vector<std::vector<double>> targets(num_objectives);
             for (std::size_t d = 0; d < num_objectives; ++d) {
-                std::vector<double> targets;
-                targets.reserve(result.archive.size());
+                targets[d].reserve(result.archive.size());
                 for (const Evaluation &evaluation : result.archive)
-                    targets.push_back(evaluation.objectives[d]);
-                GaussianProcess gp(cfg.gp);
-                gp.fit(inputs, targets);
-                models.push_back(std::move(gp));
+                    targets[d].push_back(evaluation.objectives[d]);
             }
+            models.fit(inputs, targets);
         }
 
         // Current front and reference for the S-metric.
@@ -98,7 +97,7 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
         for (const Evaluation &evaluation : result.archive)
             archive_points.push_back(evaluation.objectives);
         const std::vector<Objectives> front = paretoFront(archive_points);
-        const Objectives reference = config.referencePoint;
+        const HypervolumeGain gain(front, config.referencePoint);
 
         // Candidate pool: random unvisited encodings plus neighbours of
         // the front (local refinement).
@@ -133,16 +132,15 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
             evaluator.threadPool(), pool.size(), [&](std::size_t c) {
                 const std::vector<double> features =
                     space.features(pool[c]);
+                const std::vector<GpPrediction> predictions =
+                    models.predict(features);
                 Objectives lcb(num_objectives, 0.0);
                 for (std::size_t d = 0; d < num_objectives; ++d) {
-                    const GpPrediction prediction =
-                        models[d].predict(features);
-                    lcb[d] = prediction.mean -
-                             cfg.confidenceGain * prediction.stddev();
+                    lcb[d] = predictions[d].mean -
+                             cfg.confidenceGain * predictions[d].stddev();
                 }
 
-                double score =
-                    hypervolumeContribution(front, lcb, reference);
+                double score = gain.contribution(lcb);
                 if (score <= 0.0) {
                     // Epsilon-dominated candidate: penalty grows with
                     // how far inside the dominated region the LCB point

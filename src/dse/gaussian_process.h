@@ -74,9 +74,62 @@ class GaussianProcess
     std::unique_ptr<util::CholeskyFactor> factor;
     double targetMean = 0.0;
     double targetStd = 1.0;
+};
 
-    double kernel(const std::vector<double> &a,
-                  const std::vector<double> &b) const;
+/**
+ * One GP per target over a shared input set and kernel.
+ *
+ * The per-target GaussianProcess models of an SMS-EGO iteration differ
+ * only in their targets, so they would build identical Gram matrices and
+ * Cholesky factors, and repeat the same kernel column and variance solve
+ * at every query. This class builds one factor, keeps one alpha per
+ * target, and answers each query with one kernel column and one solve.
+ * Every prediction is bit-identical to the per-target GaussianProcess.
+ *
+ * fit() on inputs that extend the previous fit's inputs (an append-only
+ * archive) extends the factor by the new rows instead of refactorizing,
+ * which is also bit-identical (see util::CholeskyFactor).
+ */
+class SharedGaussianProcess
+{
+  public:
+    /** Construct with default kernel parameters. */
+    SharedGaussianProcess();
+
+    explicit SharedGaussianProcess(const GaussianProcess::Params &params);
+
+    /**
+     * Fit one GP per target vector.
+     *
+     * @param inputs  Feature vectors (all the same dimension, non-empty).
+     * @param targets Target vectors, each with one value per input.
+     */
+    void fit(const std::vector<std::vector<double>> &inputs,
+             const std::vector<std::vector<double>> &targets);
+
+    /** True after a successful fit(). */
+    bool fitted() const { return factor != nullptr; }
+
+    /** Factor rows the last fit() kept from the fit before it. */
+    std::size_t reusedRows() const { return lastReusedRows; }
+
+    /** Posterior of every target at a query point, in target order. */
+    std::vector<GpPrediction>
+    predict(const std::vector<double> &query) const;
+
+  private:
+    struct Target
+    {
+        std::vector<double> alpha;
+        double mean = 0.0;
+        double std = 1.0;
+    };
+
+    GaussianProcess::Params kernelParams;
+    std::vector<std::vector<double>> trainInputs;
+    std::vector<Target> fits;
+    std::unique_ptr<util::CholeskyFactor> factor;
+    std::size_t lastReusedRows = 0;
 };
 
 } // namespace autopilot::dse

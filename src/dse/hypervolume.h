@@ -13,6 +13,8 @@
 #ifndef AUTOPILOT_DSE_HYPERVOLUME_H
 #define AUTOPILOT_DSE_HYPERVOLUME_H
 
+#include <cstddef>
+
 #include "dse/pareto.h"
 
 namespace autopilot::dse
@@ -34,11 +36,63 @@ double hypervolume(const std::vector<Objectives> &points,
 /**
  * Hypervolume gained by adding @p candidate to @p points.
  *
- * Non-negative; zero when the candidate is dominated.
+ * Non-negative; zero when the candidate is dominated. This recomputes
+ * both volumes from scratch and is the reference HypervolumeGain is
+ * checked against.
  */
 double hypervolumeContribution(const std::vector<Objectives> &points,
                                const Objectives &candidate,
                                const Objectives &reference);
+
+/**
+ * hypervolumeContribution() against one fixed point set, for scoring
+ * many candidates.
+ *
+ * Construction runs the 3-D slab sweep once and keeps, per distinct
+ * depth, the slab's 2-D staircase with its running strip sums and the
+ * running volume. contribution() then resumes the sweep at the
+ * candidate's depth and recomputes only the slabs the candidate enters.
+ * What it computes, and what it reuses from construction, are the
+ * reference's own operations in the reference's order, so the result is
+ * bit-identical to hypervolumeContribution(points, candidate, reference).
+ * Other than 3 objectives, it falls back to the reference. Immutable
+ * after construction, so contribution() is safe to call from many
+ * threads.
+ */
+class HypervolumeGain
+{
+  public:
+    HypervolumeGain(const std::vector<Objectives> &points,
+                    const Objectives &reference);
+
+    /** hypervolume(points, reference). */
+    double base() const { return baseVolume; }
+
+    /** Bit-identical to hypervolumeContribution(points, c, reference). */
+    double contribution(const Objectives &candidate) const;
+
+  private:
+    /** One staircase corner with the strip sum up to and including it. */
+    struct Step
+    {
+        double x;
+        double y;
+        double prefix;
+    };
+
+    Objectives reference;
+    std::vector<Objectives> fallbackPoints; ///< 1-2 objectives only.
+    double baseVolume = 0.0;
+    std::vector<double> levelZ;       ///< Distinct depths, ascending.
+    std::vector<double> levelArea;    ///< Cross-section at each depth.
+    std::vector<double> levelVolume;  ///< Running volume after the slab.
+    std::vector<std::size_t> stairBegin; ///< levelZ.size() + 1 offsets.
+    std::vector<Step> stairs;         ///< Per-level staircases, flat.
+
+    double nextZ(std::size_t level) const;
+    bool mergedArea(std::ptrdiff_t level, const Objectives &candidate,
+                    double &area) const;
+};
 
 /**
  * A reference point for a point set: the componentwise maximum plus a

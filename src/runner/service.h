@@ -78,7 +78,7 @@ struct CampaignSubmission
  * file, not die.
  *
  * Recognized keys (all optional):
- *   tenant (string, default "default"), density (low|medium|high),
+ *   tenant (string, default "default"), density (low|medium|dense),
  *   episodes, budget, seed, threads (numbers), optimizer, backend
  *   (registry names), uav (nano|spark|pelican), deadline_s,
  *   camera_mbps, host_mbps, npu_floor (numbers), airframe

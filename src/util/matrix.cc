@@ -1,6 +1,7 @@
 #include "util/matrix.h"
 
 #include <cmath>
+#include <utility>
 
 #include "util/logging.h"
 
@@ -99,41 +100,60 @@ Matrix::operator==(const Matrix &other) const
 }
 
 CholeskyFactor::CholeskyFactor(const Matrix &a, double jitter)
-    : factor(a.rows(), a.cols(), 0.0)
+    : jitter(jitter)
 {
     panicIf(a.rows() != a.cols(), "CholeskyFactor: matrix not square");
-    const std::size_t n = a.rows();
-    for (std::size_t i = 0; i < n; ++i) {
+    appendRows(a);
+}
+
+void
+CholeskyFactor::appendRows(const Matrix &rows)
+{
+    const std::size_t old_n = factor.rows();
+    const std::size_t n = old_n + rows.rows();
+    panicIf(rows.cols() != n, "CholeskyFactor::appendRows: shape mismatch");
+    Matrix grown(n, n, 0.0);
+    for (std::size_t i = 0; i < old_n; ++i)
+        for (std::size_t j = 0; j <= i; ++j)
+            grown(i, j) = factor(i, j);
+    for (std::size_t i = old_n; i < n; ++i) {
         for (std::size_t j = 0; j <= i; ++j) {
-            double sum = a(i, j);
+            double sum = rows(i - old_n, j);
             if (i == j)
                 sum += jitter;
             for (std::size_t k = 0; k < j; ++k)
-                sum -= factor(i, k) * factor(j, k);
+                sum -= grown(i, k) * grown(j, k);
             if (i == j) {
                 fatalIf(sum <= 0.0,
                         "CholeskyFactor: matrix not positive definite");
-                factor(i, j) = std::sqrt(sum);
+                grown(i, j) = std::sqrt(sum);
             } else {
-                factor(i, j) = sum / factor(j, j);
+                grown(i, j) = sum / grown(j, j);
             }
         }
     }
+    factor = std::move(grown);
 }
 
 std::vector<double>
 CholeskyFactor::solveLower(const std::vector<double> &b) const
 {
+    std::vector<double> y = b;
+    solveLowerInPlace(y);
+    return y;
+}
+
+void
+CholeskyFactor::solveLowerInPlace(std::vector<double> &b) const
+{
     const std::size_t n = factor.rows();
     panicIf(b.size() != n, "CholeskyFactor::solveLower: size mismatch");
-    std::vector<double> y(n, 0.0);
     for (std::size_t i = 0; i < n; ++i) {
         double sum = b[i];
         for (std::size_t k = 0; k < i; ++k)
-            sum -= factor(i, k) * y[k];
-        y[i] = sum / factor(i, i);
+            sum -= factor(i, k) * b[k];
+        b[i] = sum / factor(i, i);
     }
-    return y;
 }
 
 std::vector<double>

@@ -6,7 +6,9 @@
  *
  * This is deliberately a small, self-contained implementation rather than a
  * dependency on a BLAS: the GP training sets in AutoPilot's Phase 2 are a
- * few hundred points at most, where a naive O(n^3) Cholesky is instant.
+ * few hundred points at most. A Cholesky factor is built row by row, so a
+ * growing training set extends its factor by the new rows in O(n^2) per
+ * row instead of refactorizing in O(n^3).
  */
 
 #ifndef AUTOPILOT_UTIL_MATRIX_H
@@ -75,9 +77,15 @@ class Matrix
 /**
  * Lower-triangular Cholesky factor of a symmetric positive-definite matrix.
  *
- * Factorizes A = L L^T once and then answers solves against the factor.
+ * Factorizes A = L L^T and then answers solves against the factor.
  * Construction fails via fatal() when A is not positive definite even after
  * the caller-supplied jitter is added to the diagonal.
+ *
+ * The factorization is row-oriented (Cholesky-Banachiewicz): row i of L
+ * reads only A(i, 0..i) and the rows of L above it. So when A grows by
+ * whole rows and columns, appendRows() computes just the new rows of L
+ * with the same operations in the same order as a fresh factorization of
+ * the grown matrix, and the two factors are bit-identical.
  */
 class CholeskyFactor
 {
@@ -90,6 +98,15 @@ class CholeskyFactor
      */
     explicit CholeskyFactor(const Matrix &a, double jitter = 1e-10);
 
+    /**
+     * Extend the factor of the n x n matrix A to the (n+m) x (n+m)
+     * matrix that adds m rows (and the mirrored columns) to A.
+     *
+     * @param rows m x (n+m) matrix; row r holds the grown matrix's row
+     *             n + r. Only its entries up to the diagonal are read.
+     */
+    void appendRows(const Matrix &rows);
+
     /** The lower-triangular factor L. */
     const Matrix &lower() const { return factor; }
 
@@ -99,11 +116,15 @@ class CholeskyFactor
     /** Solve L y = b (forward substitution only). */
     std::vector<double> solveLower(const std::vector<double> &b) const;
 
+    /** solveLower() overwriting @p b with y. */
+    void solveLowerInPlace(std::vector<double> &b) const;
+
     /** log(det(A)) = 2 * sum(log(L_ii)), useful for GP likelihoods. */
     double logDeterminant() const;
 
   private:
     Matrix factor;
+    double jitter;
 };
 
 } // namespace autopilot::util

@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "dse/design_space.h"
 #include "dse/gaussian_process.h"
@@ -190,6 +193,132 @@ TEST(GaussianProcess, VarianceNonNegative)
     }
 }
 
+// Shared-factor GP: one Cholesky factor, one alpha per target.
+
+namespace
+{
+
+struct GpData
+{
+    std::vector<std::vector<double>> inputs;
+    std::vector<std::vector<double>> targets; ///< One vector per target.
+};
+
+/** Three targets on very different scales, like the DSE objectives. */
+GpData
+randomGpData(std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    GpData data;
+    data.targets.resize(3);
+    for (std::size_t i = 0; i < n; ++i) {
+        std::vector<double> x(7);
+        for (double &value : x)
+            value = rng.uniform();
+        data.inputs.push_back(x);
+        data.targets[0].push_back(rng.uniform());
+        data.targets[1].push_back(2.0 + 10.0 * x[0] * x[1]);
+        data.targets[2].push_back(100.0 * std::sin(3.0 * x[2]) +
+                                  rng.normal());
+    }
+    return data;
+}
+
+void
+expectBitIdenticalPredictions(const dse::SharedGaussianProcess &shared,
+                              const GpData &data, std::size_t n,
+                              std::uint64_t querySeed)
+{
+    const std::vector<std::vector<double>> inputs(
+        data.inputs.begin(), data.inputs.begin() + n);
+    std::vector<dse::GaussianProcess> reference;
+    for (const std::vector<double> &column : data.targets) {
+        dse::GaussianProcess gp;
+        gp.fit(inputs, std::vector<double>(column.begin(),
+                                           column.begin() + n));
+        reference.push_back(std::move(gp));
+    }
+    Rng rng(querySeed);
+    std::vector<std::vector<double>> queries(inputs.begin(),
+                                             inputs.begin() + 3);
+    for (int q = 0; q < 40; ++q) {
+        std::vector<double> x(7);
+        for (double &value : x)
+            value = rng.uniform();
+        queries.push_back(x);
+    }
+    for (const std::vector<double> &query : queries) {
+        const std::vector<dse::GpPrediction> predictions =
+            shared.predict(query);
+        ASSERT_EQ(predictions.size(), reference.size());
+        for (std::size_t t = 0; t < reference.size(); ++t) {
+            const dse::GpPrediction expected = reference[t].predict(query);
+            // Exact ==: the shared path must be bit-identical.
+            EXPECT_EQ(predictions[t].mean, expected.mean)
+                << "target " << t << ", n = " << n;
+            EXPECT_EQ(predictions[t].variance, expected.variance)
+                << "target " << t << ", n = " << n;
+        }
+    }
+}
+
+std::vector<std::vector<double>>
+prefixTargets(const GpData &data, std::size_t n)
+{
+    std::vector<std::vector<double>> out;
+    for (const std::vector<double> &column : data.targets)
+        out.emplace_back(column.begin(), column.begin() + n);
+    return out;
+}
+
+} // namespace
+
+TEST(SharedGaussianProcess, MatchesPerTargetModelsBitwise)
+{
+    const GpData data = randomGpData(48, 21);
+    dse::SharedGaussianProcess shared;
+    shared.fit(data.inputs, data.targets);
+    EXPECT_EQ(shared.reusedRows(), 0u);
+    expectBitIdenticalPredictions(shared, data, 48, 5);
+}
+
+TEST(SharedGaussianProcess, AppendedFitsMatchFreshModelsBitwise)
+{
+    // The BO loop's pattern: the archive grows by one or a few points
+    // per iteration and every refit extends the previous factor.
+    const GpData data = randomGpData(90, 22);
+    dse::SharedGaussianProcess shared;
+    std::size_t n = 16;
+    shared.fit({data.inputs.begin(), data.inputs.begin() + n},
+               prefixTargets(data, n));
+    for (std::size_t growth : {1u, 1u, 3u, 1u, 8u, 30u, 30u}) {
+        const std::size_t kept = n;
+        n += growth;
+        shared.fit({data.inputs.begin(), data.inputs.begin() + n},
+                   prefixTargets(data, n));
+        EXPECT_EQ(shared.reusedRows(), kept);
+        expectBitIdenticalPredictions(shared, data, n, n);
+    }
+}
+
+TEST(SharedGaussianProcess, RefitsWhenInputsAreNotAnExtension)
+{
+    const GpData data = randomGpData(40, 23);
+    dse::SharedGaussianProcess shared;
+    shared.fit(data.inputs, data.targets);
+    // A different, shorter training set must refactorize from scratch.
+    const GpData other = randomGpData(25, 24);
+    shared.fit(other.inputs, other.targets);
+    EXPECT_EQ(shared.reusedRows(), 0u);
+    expectBitIdenticalPredictions(shared, other, 25, 6);
+    // Same inputs, new targets: the factor is kept whole.
+    GpData retargeted = other;
+    std::swap(retargeted.targets[0], retargeted.targets[2]);
+    shared.fit(retargeted.inputs, retargeted.targets);
+    EXPECT_EQ(shared.reusedRows(), 25u);
+    expectBitIdenticalPredictions(shared, retargeted, 25, 7);
+}
+
 TEST(GaussianProcessDeath, PredictBeforeFit)
 {
     dse::GaussianProcess gp;
@@ -201,4 +330,11 @@ TEST(GaussianProcessDeath, EmptyTrainingSet)
 {
     dse::GaussianProcess gp;
     EXPECT_EXIT(gp.fit({}, {}), ::testing::ExitedWithCode(1), "empty");
+}
+
+TEST(GaussianProcessDeath, SharedPredictBeforeFit)
+{
+    dse::SharedGaussianProcess gp;
+    EXPECT_EXIT(gp.predict({0.0}), ::testing::ExitedWithCode(1),
+                "not fitted");
 }

@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include "airlearning/trainer.h"
 #include "dse/annealing.h"
@@ -16,9 +21,12 @@
 #include "dse/genetic.h"
 #include "dse/optimizer.h"
 #include "dse/random_search.h"
+#include "io/persistence.h"
+#include "util/thread_pool.h"
 
 namespace dse = autopilot::dse;
 namespace al = autopilot::airlearning;
+namespace util = autopilot::util;
 
 namespace
 {
@@ -212,6 +220,70 @@ TEST(BayesOpt, BeatsOrMatchesRandomOnAverage)
                           .finalHypervolume(reference);
     }
     EXPECT_GE(bo_sum, random_sum * 0.97);
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a over the archive CSV and the hypervolume-history bits. */
+std::string
+trajectoryHash(const dse::OptimizerResult &result)
+{
+    std::ostringstream csv;
+    autopilot::io::writeDseArchive(result.archive, csv);
+    std::string bytes = csv.str();
+    for (double value : result.hypervolumeHistory) {
+        char raw[sizeof(double)];
+        std::memcpy(raw, &value, sizeof(double));
+        bytes.append(raw, sizeof(double));
+    }
+    std::uint64_t hash = 0xcbf29ce484222325ull;
+    for (unsigned char byte : bytes) {
+        hash ^= byte;
+        hash *= 0x100000001b3ull;
+    }
+    char hex[17];
+    std::snprintf(hex, sizeof(hex), "%016llx",
+                  static_cast<unsigned long long>(hash));
+    return hex;
+}
+
+} // namespace
+
+// Pins one seeded SMS-EGO trajectory (sequential and q = 4 batches) at
+// 1, 2 and 4 threads. The expected hashes were recorded with the
+// reference screen (one GP and one Cholesky factorization per objective
+// per iteration, full hypervolume recomputation per candidate), so any
+// fast path in the BO loop must reproduce that trajectory bit for bit.
+// A toolchain or libm change that moves the last bit of exp() or log()
+// legitimately moves these hashes. Re-record them in a change that
+// touches nothing else, never in one that also changes the BO loop.
+TEST(BayesOpt, PinnedTrajectoryHashAcrossThreadCounts)
+{
+    struct Case
+    {
+        int batchSize;
+        const char *expected;
+    };
+    for (const Case &pinned : {Case{1, "fadee2db8d1e19da"},
+                               Case{4, "8c71a3947b186b76"}}) {
+        for (std::size_t threads : {1u, 2u, 4u}) {
+            util::ThreadPool pool(threads);
+            dse::DseEvaluator evaluator(sharedDatabase(),
+                                        al::ObstacleDensity::Dense);
+            if (threads > 1)
+                evaluator.setThreadPool(&pool);
+            dse::BayesOpt::Settings settings;
+            settings.batchSize = pinned.batchSize;
+            const dse::OptimizerResult result =
+                dse::BayesOpt(settings).optimize(evaluator,
+                                                 smallBudget(60, 2024));
+            ASSERT_EQ(result.archive.size(), 60u);
+            EXPECT_EQ(trajectoryHash(result), pinned.expected)
+                << "batch " << pinned.batchSize << ", " << threads
+                << " threads";
+        }
+    }
 }
 
 TEST(Optimizers, NamesAreStable)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -196,6 +197,75 @@ TEST(Matrix, CholeskyFactorReconstructs)
     for (std::size_t i = 0; i < 2; ++i)
         for (std::size_t j = 0; j < 2; ++j)
             EXPECT_NEAR(reconstructed(i, j), a(i, j), 1e-9);
+}
+
+namespace
+{
+
+/** SE-kernel Gram of @p n random 7-D points plus a small noise floor. */
+au::Matrix
+randomGram(std::size_t n)
+{
+    au::Rng rng(0xC401);
+    std::vector<std::vector<double>> points(n, std::vector<double>(7));
+    for (auto &point : points)
+        for (double &value : point)
+            value = rng.uniform();
+    au::Matrix gram(n, n, 0.0);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            double sq = 0.0;
+            for (std::size_t d = 0; d < 7; ++d) {
+                const double diff = (points[i][d] - points[j][d]) / 0.25;
+                sq += diff * diff;
+            }
+            gram(i, j) = std::exp(-0.5 * sq);
+        }
+        gram(i, i) += 1e-4;
+    }
+    return gram;
+}
+
+au::Matrix
+block(const au::Matrix &a, std::size_t row, std::size_t rows,
+      std::size_t cols)
+{
+    au::Matrix out(rows, cols, 0.0);
+    for (std::size_t i = 0; i < rows; ++i)
+        for (std::size_t j = 0; j < cols; ++j)
+            out(i, j) = a(row + i, j);
+    return out;
+}
+
+} // namespace
+
+TEST(Matrix, CholeskyAppendEqualsFreshFactor)
+{
+    const au::Matrix gram = randomGram(200);
+    for (std::size_t step : {1u, 7u}) {
+        au::CholeskyFactor grown(block(gram, 0, 16, 16), 1e-9);
+        for (std::size_t n = 16; n < 200;) {
+            const std::size_t m = std::min<std::size_t>(step, 200 - n);
+            grown.appendRows(block(gram, n, m, n + m));
+            n += m;
+            const au::CholeskyFactor fresh(block(gram, 0, n, n), 1e-9);
+            ASSERT_TRUE(grown.lower() == fresh.lower())
+                << "n = " << n << ", step " << step;
+        }
+    }
+}
+
+TEST(Matrix, CholeskySolveLowerInPlaceMatchesCopy)
+{
+    const au::Matrix gram = randomGram(40);
+    const au::CholeskyFactor factor(gram, 1e-9);
+    au::Rng rng(3);
+    std::vector<double> b(40);
+    for (double &value : b)
+        value = rng.normal();
+    std::vector<double> in_place = b;
+    factor.solveLowerInPlace(in_place);
+    EXPECT_EQ(in_place, factor.solveLower(b));
 }
 
 // -------------------------------------------------------------- table ----
