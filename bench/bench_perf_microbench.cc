@@ -1,7 +1,8 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot paths: the two
- * systolic engines, the GP surrogate, hypervolume, one SMS-EGO iteration
+ * systolic engines (and one cycle-engine layer's per-fold cost), the GP
+ * surrogate, hypervolume, one SMS-EGO iteration
  * (GP fit, acquisition screen, hypervolume update), episode rollouts, and
  * the batch-parallel evaluation core at 1/2/4/8 worker threads. These
  * quantify the cost of one Phase 2 evaluation and one Phase 1 validation
@@ -116,6 +117,53 @@ BM_CycleEngineFullModel(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CycleEngineFullModel);
+
+/**
+ * One cycle-engine layer on a 16x16 WS array: the per-fold cost of the
+ * cycle tier. fc_trunk is the fc_trunk-class M = 1 GEMM (768 row x 128
+ * column folds, 98,304 of a policy model's ~106k); conv2 is a 648-fold
+ * conv layer. "jump" is CycleEngine::runLayer (compiled FoldStream,
+ * steady-state jump), "stepping" its fold-by-fold reference
+ * runLayerStepping. folds_per_s counts the layer's folds per second.
+ */
+void
+BM_CycleRunLayer(benchmark::State &state, const char *layer_name,
+                 bool stepping)
+{
+    const nn::Model model = nn::buildE2EModel({5, 48});
+    const nn::Layer *layer = nullptr;
+    for (const nn::Layer &candidate : model.layers()) {
+        if (candidate.name == layer_name)
+            layer = &candidate;
+    }
+    if (layer == nullptr) {
+        state.SkipWithError("layer not in the 5L/48F model");
+        return;
+    }
+    systolic::AcceleratorConfig config;
+    config.peRows = 16;
+    config.peCols = 16;
+    const systolic::CycleEngine engine(config);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(stepping
+                                     ? engine.runLayerStepping(*layer)
+                                     : engine.runLayer(*layer));
+    }
+    const systolic::FoldGeometry geometry =
+        systolic::foldGeometry(layer->gemm(), config);
+    state.counters["folds_per_s"] = benchmark::Counter(
+        static_cast<double>(geometry.foldCount()) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_CycleRunLayer, fc_trunk_jump, "fc_trunk", false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CycleRunLayer, fc_trunk_stepping, "fc_trunk", true)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CycleRunLayer, conv2_jump, "conv2", false)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_CycleRunLayer, conv2_stepping, "conv2", true)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 BM_NpuPowerEstimate(benchmark::State &state)

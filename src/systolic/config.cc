@@ -4,6 +4,7 @@
 #include <cctype>
 
 #include "util/logging.h"
+#include "util/rng.h"
 
 namespace autopilot::systolic
 {
@@ -60,6 +61,45 @@ HardwareSpace::contains(const AcceleratorConfig &config) const
            has(sramKbChoices, config.filterSramKb) &&
            has(sramKbChoices, config.ofmapSramKb) &&
            has(bytesPerElementChoices, config.bytesPerElement);
+}
+
+std::vector<AcceleratorConfig>
+HardwareSpace::sampleCorpus(std::size_t count, std::uint64_t seed) const
+{
+    util::Rng rng(seed);
+    auto draw = [&rng](const std::vector<int> &choices) {
+        return choices[rng.index(choices.size())];
+    };
+    std::vector<AcceleratorConfig> configs;
+    configs.reserve(count + 2);
+    for (std::size_t i = 0; i < count; ++i) {
+        AcceleratorConfig config;
+        config.peRows = draw(peRowChoices);
+        config.peCols = draw(peColChoices);
+        config.ifmapSramKb = draw(sramKbChoices);
+        config.filterSramKb = draw(sramKbChoices);
+        config.ofmapSramKb = draw(sramKbChoices);
+        constexpr Dataflow dataflows[] = {Dataflow::WeightStationary,
+                                          Dataflow::OutputStationary,
+                                          Dataflow::InputStationary};
+        config.dataflow = dataflows[i % 3];
+        configs.push_back(config);
+    }
+    // The corners of the space on top of the random sample.
+    for (const bool largest : {false, true}) {
+        auto pick = [largest](const std::vector<int> &choices) {
+            return largest
+                       ? *std::max_element(choices.begin(), choices.end())
+                       : *std::min_element(choices.begin(), choices.end());
+        };
+        AcceleratorConfig config;
+        config.peRows = pick(peRowChoices);
+        config.peCols = pick(peColChoices);
+        config.ifmapSramKb = config.filterSramKb = config.ofmapSramKb =
+            pick(sramKbChoices);
+        configs.push_back(config);
+    }
+    return configs;
 }
 
 std::string

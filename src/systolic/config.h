@@ -79,6 +79,15 @@ struct HardwareSpace
      *  bytesPerElement: an out-of-space precision is rejected here the
      *  same way DesignSpace::encode rejects it with a fatal). */
     bool contains(const AcceleratorConfig &config) const;
+
+    /**
+     * @p count configurations whose array and scratchpad sizes a seeded
+     * Rng draws from this space, cycling WS/OS/IS, followed by the
+     * space's smallest and largest corners: the randomized corpus the
+     * engine differential tests and perf smokes run.
+     */
+    std::vector<AcceleratorConfig> sampleCorpus(std::size_t count,
+                                                std::uint64_t seed) const;
 };
 
 /** Canonical label for an operand width: 1 -> "int8", 2 -> "fp16",

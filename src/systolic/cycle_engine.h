@@ -2,8 +2,8 @@
  * @file
  * Cycle-stepped accelerator engine.
  *
- * Walks the fold schedule fold by fold with an explicit double-buffered
- * prefetch timeline over a single DRAM channel:
+ * Runs the fold schedule through an explicit double-buffered prefetch
+ * timeline over a single DRAM channel:
  *
  *   fetch_start[f]   = max(fetch_done[f-1], compute_done[f-2])
  *   fetch_done[f]    = fetch_start[f] + fetch_bytes[f] / BW
@@ -16,6 +16,11 @@
  * buffer halves: the prefetch target for fold f is the half still in use
  * until fold f-2's compute finishes... (with two halves, fold f's buffer
  * is freed when fold f-2 completes, allowing fetch f to begin).
+ *
+ * runLayer() compiles the layer into a FoldStream and jumps over each
+ * run's steady state (jumpFoldTimeline, fold_stream.h);
+ * runLayerStepping() steps every fold and is kept as the reference the
+ * jump is checked against.
  */
 
 #ifndef AUTOPILOT_SYSTOLIC_CYCLE_ENGINE_H
@@ -23,6 +28,7 @@
 
 #include "systolic/contention.h"
 #include "systolic/engine.h"
+#include "systolic/fold_stream.h"
 
 namespace autopilot::systolic
 {
@@ -49,10 +55,18 @@ class CycleEngine : public Engine
 
     LayerResult runLayer(const nn::Layer &layer) const override;
 
+    /**
+     * runLayer() stepped one fold at a time over the same FoldStream:
+     * the reference runLayer() must match field for field.
+     */
+    LayerResult runLayerStepping(const nn::Layer &layer) const;
+
     const AcceleratorConfig &config() const { return cfg; }
     const ContentionProfile &contention() const { return profile; }
 
   private:
+    BandwidthTransfer transfer() const;
+
     AcceleratorConfig cfg;
     ContentionProfile profile;
     /// Effective-bandwidth fraction left to the NPU; 1.0 when the

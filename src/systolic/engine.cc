@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "systolic/fold_stream.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
 
@@ -88,22 +89,22 @@ AnalyticalEngine::AnalyticalEngine(const AcceleratorConfig &config)
 LayerResult
 AnalyticalEngine::runLayer(const nn::Layer &layer) const
 {
-    const FoldSchedule schedule = scheduleGemm(layer.gemm(), cfg);
+    const FoldShares shares(layer, cfg);
+    const FoldGeometry &geometry = shares.geometry();
 
     LayerResult result;
     result.layerName = layer.name;
     result.gemm = layer.gemm();
-    result.rowFolds = schedule.rowFolds;
-    result.colFolds = schedule.colFolds;
-    result.computeCycles = schedule.computeCycles();
-    result.traffic = computeTraffic(layer, schedule, cfg);
+    result.rowFolds = geometry.rowFolds;
+    result.colFolds = geometry.colFolds;
+    result.computeCycles = geometry.computeCycles();
+    result.traffic = shares.traffic();
 
     const std::int64_t dram_bytes = result.traffic.totalDramBytes();
     const std::int64_t dram_cycles =
         (dram_bytes + cfg.dramBytesPerCycle - 1) / cfg.dramBytesPerCycle;
     const std::int64_t first_tile =
-        (foldFetchBytes(layer, schedule, cfg, 0) + cfg.dramBytesPerCycle -
-         1) /
+        (shares.fetchBytes(0, 0) + cfg.dramBytesPerCycle - 1) /
         cfg.dramBytesPerCycle;
 
     result.totalCycles =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "systolic/fold_stream.h"
 #include "util/logging.h"
 
 namespace autopilot::systolic
@@ -17,21 +18,6 @@ halfCapacityBytes(int sram_kb)
 {
     // Double buffering: half the scratchpad holds the working set.
     return static_cast<std::int64_t>(sram_kb) * 1024 / 2;
-}
-
-/**
- * Evenly split @p total bytes over @p share_count designated folds; fold
- * @p share_index gets the remainder-adjusted portion so shares sum exactly
- * to total.
- */
-std::int64_t
-evenShare(std::int64_t total, std::int64_t share_count,
-          std::int64_t share_index)
-{
-    panicIf(share_count <= 0, "evenShare: no designated folds");
-    const std::int64_t base = total / share_count;
-    const std::int64_t extra = total % share_count;
-    return base + (share_index < extra ? 1 : 0);
 }
 
 } // namespace
@@ -79,9 +65,12 @@ analyzeResidency(const nn::Layer &layer, const AcceleratorConfig &config)
     return residency;
 }
 
+namespace
+{
+
 LayerTraffic
-computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
-               const AcceleratorConfig &config)
+trafficForFolds(const nn::Layer &layer, std::int64_t row_folds,
+                std::int64_t col_folds, const AcceleratorConfig &config)
 {
     const std::int64_t bpe = config.bytesPerElement;
     const nn::GemmShape gemm = layer.gemm();
@@ -94,7 +83,7 @@ computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
 
     const bool crosses_folds =
         config.dataflow != Dataflow::OutputStationary &&
-        schedule.rowFolds > 1;
+        row_folds > 1;
     const std::int64_t chunks =
         crosses_folds ? residency.streamChunks : 1;
 
@@ -102,7 +91,7 @@ computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
     switch (config.dataflow) {
       case Dataflow::WeightStationary:
         traffic.ifmapDramBytes = residency.ifmapResident
-            ? ifmap_bytes : ifmap_bytes * schedule.colFolds;
+            ? ifmap_bytes : ifmap_bytes * col_folds;
         // Weights are pinned once per stream chunk (once total when the
         // psums of the whole stream fit on chip), unless the filter set
         // is SRAM-resident.
@@ -111,16 +100,16 @@ computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
         break;
       case Dataflow::OutputStationary:
         traffic.ifmapDramBytes = residency.ifmapResident
-            ? ifmap_bytes : ifmap_bytes * schedule.colFolds;
+            ? ifmap_bytes : ifmap_bytes * col_folds;
         traffic.filterDramBytes = residency.filterResident
-            ? filter_bytes : filter_bytes * schedule.rowFolds;
+            ? filter_bytes : filter_bytes * row_folds;
         break;
       case Dataflow::InputStationary:
         // The im2col footprint is pinned once per stream chunk.
         traffic.ifmapDramBytes = residency.ifmapResident
             ? ifmap_bytes : gemm.m * gemm.k * bpe * chunks;
         traffic.filterDramBytes = residency.filterResident
-            ? filter_bytes : filter_bytes * schedule.colFolds;
+            ? filter_bytes : filter_bytes * col_folds;
         break;
     }
     traffic.ofmapDramBytes = ofmap_bytes;
@@ -131,25 +120,43 @@ computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
     // --- Scratchpad accesses (elements) ---
     switch (config.dataflow) {
       case Dataflow::WeightStationary:
-        traffic.ifmapSramReads = gemm.m * gemm.k * schedule.colFolds;
+        traffic.ifmapSramReads = gemm.m * gemm.k * col_folds;
         traffic.filterSramReads = gemm.k * gemm.n * chunks;
         break;
       case Dataflow::OutputStationary:
-        traffic.ifmapSramReads = gemm.m * gemm.k * schedule.colFolds;
-        traffic.filterSramReads = gemm.k * gemm.n * schedule.rowFolds;
+        traffic.ifmapSramReads = gemm.m * gemm.k * col_folds;
+        traffic.filterSramReads = gemm.k * gemm.n * row_folds;
         break;
       case Dataflow::InputStationary:
         traffic.ifmapSramReads = gemm.m * gemm.k * chunks;
-        traffic.filterSramReads = gemm.k * gemm.n * schedule.colFolds;
+        traffic.filterSramReads = gemm.k * gemm.n * col_folds;
         break;
     }
     traffic.ofmapSramWrites = gemm.m * gemm.n;
     if (crosses_folds) {
-        traffic.psumSramReads = gemm.m * gemm.n * (schedule.rowFolds - 1);
+        traffic.psumSramReads = gemm.m * gemm.n * (row_folds - 1);
         traffic.psumSramWrites = traffic.psumSramReads;
     }
 
     return traffic;
+}
+
+} // namespace
+
+LayerTraffic
+computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
+               const AcceleratorConfig &config)
+{
+    return trafficForFolds(layer, schedule.rowFolds, schedule.colFolds,
+                           config);
+}
+
+LayerTraffic
+computeTraffic(const nn::Layer &layer, const FoldGeometry &geometry,
+               const AcceleratorConfig &config)
+{
+    return trafficForFolds(layer, geometry.rowFolds, geometry.colFolds,
+                           config);
 }
 
 std::int64_t
@@ -158,68 +165,9 @@ foldFetchBytes(const nn::Layer &layer, const FoldSchedule &schedule,
 {
     panicIf(fold_index < 0 || fold_index >= schedule.foldCount(),
             "foldFetchBytes: fold index out of range");
-    const LayerTraffic traffic = computeTraffic(layer, schedule, config);
-    const Residency residency = analyzeResidency(layer, config);
-    const std::int64_t col_folds = schedule.colFolds;
-    const std::int64_t row_folds = schedule.rowFolds;
-    const std::int64_t i = fold_index / col_folds;
-    const std::int64_t j = fold_index % col_folds;
-
-    std::int64_t bytes = 0;
-
-    // Ifmap: when resident, only the first column pass of each row fold
-    // fetches; otherwise every fold fetches its share.
-    {
-        const bool designated =
-            config.dataflow == Dataflow::InputStationary
-                ? true
-                : (!residency.ifmapResident || j == 0);
-        std::int64_t share_count = 0;
-        std::int64_t share_index = 0;
-        if (config.dataflow == Dataflow::InputStationary ||
-            !residency.ifmapResident) {
-            share_count = schedule.foldCount();
-            share_index = fold_index;
-        } else {
-            share_count = row_folds;
-            share_index = i;
-        }
-        if (designated)
-            bytes += evenShare(traffic.ifmapDramBytes, share_count,
-                               share_index);
-    }
-
-    // Filter: WS fetches per fold by construction; OS/IS fetch per fold
-    // unless resident, in which case only the first pass fetches.
-    {
-        bool designated = true;
-        std::int64_t share_count = schedule.foldCount();
-        std::int64_t share_index = fold_index;
-        if (config.dataflow == Dataflow::OutputStationary &&
-            residency.filterResident) {
-            designated = (i == 0);
-            share_count = col_folds;
-            share_index = j;
-        } else if (config.dataflow == Dataflow::InputStationary &&
-                   residency.filterResident) {
-            designated = (j == 0);
-            share_count = row_folds;
-            share_index = i;
-        }
-        if (designated)
-            bytes += evenShare(traffic.filterDramBytes, share_count,
-                               share_index);
-    }
-
-    // Spilled partial sums are read back at the start of every pass after
-    // the first.
-    if (traffic.psumDramBytes > 0 && i > 0) {
-        const std::int64_t reads = traffic.psumDramBytes / 2;
-        bytes += evenShare(reads, (row_folds - 1) * col_folds,
-                           (i - 1) * col_folds + j);
-    }
-
-    return bytes;
+    return FoldShares(layer, config)
+        .fetchBytes(fold_index / schedule.colFolds,
+                    fold_index % schedule.colFolds);
 }
 
 std::int64_t
@@ -228,34 +176,9 @@ foldWritebackBytes(const nn::Layer &layer, const FoldSchedule &schedule,
 {
     panicIf(fold_index < 0 || fold_index >= schedule.foldCount(),
             "foldWritebackBytes: fold index out of range");
-    const LayerTraffic traffic = computeTraffic(layer, schedule, config);
-    const std::int64_t col_folds = schedule.colFolds;
-    const std::int64_t row_folds = schedule.rowFolds;
-    const std::int64_t i = fold_index / col_folds;
-    const std::int64_t j = fold_index % col_folds;
-
-    std::int64_t bytes = 0;
-
-    // Final ofmap tiles leave the chip on the last row-fold pass (OS
-    // finishes a tile per fold, but its row folds partition M, so the
-    // last-pass rule is equivalent to "every fold for its own tile" only
-    // for WS/IS; for OS all folds write).
-    if (config.dataflow == Dataflow::OutputStationary) {
-        bytes += evenShare(traffic.ofmapDramBytes, schedule.foldCount(),
-                           fold_index);
-    } else if (i == row_folds - 1) {
-        bytes += evenShare(traffic.ofmapDramBytes, col_folds, j);
-    }
-
-    // Spilled partial sums are written out at the end of every pass except
-    // the last.
-    if (traffic.psumDramBytes > 0 && i < row_folds - 1) {
-        const std::int64_t writes = traffic.psumDramBytes / 2;
-        bytes += evenShare(writes, (row_folds - 1) * col_folds,
-                           i * col_folds + j);
-    }
-
-    return bytes;
+    return FoldShares(layer, config)
+        .writebackBytes(fold_index / schedule.colFolds,
+                        fold_index % schedule.colFolds);
 }
 
 } // namespace autopilot::systolic

@@ -69,53 +69,70 @@ foldCycles(std::int64_t rows_used, std::int64_t cols_used,
     return 2 * rows_used + cols_used + stream_len - 2;
 }
 
-FoldSchedule
-scheduleGemm(const nn::GemmShape &gemm, const AcceleratorConfig &config)
+std::int64_t
+FoldGeometry::cycles(std::int64_t i, std::int64_t j) const
+{
+    return foldCycles(rowsUsed(i), colsUsed(j), streamDim);
+}
+
+FoldGeometry
+foldGeometry(const nn::GemmShape &gemm, const AcceleratorConfig &config)
 {
     panicIf(gemm.m <= 0 || gemm.n <= 0 || gemm.k <= 0,
-            "scheduleGemm: degenerate GEMM shape");
+            "foldGeometry: degenerate GEMM shape");
     config.validate();
 
     const DimAssignment dims = assignDims(gemm, config.dataflow);
-    const std::int64_t sr = config.peRows;
-    const std::int64_t sc = config.peCols;
+    FoldGeometry geometry;
+    geometry.rowDim = dims.rowDim;
+    geometry.colDim = dims.colDim;
+    geometry.streamDim = dims.streamDim;
+    geometry.peRows = config.peRows;
+    geometry.peCols = config.peCols;
+    geometry.rowFolds = ceilDiv(dims.rowDim, config.peRows);
+    geometry.colFolds = ceilDiv(dims.colDim, config.peCols);
+    return geometry;
+}
+
+FoldSchedule
+scheduleGemm(const nn::GemmShape &gemm, const AcceleratorConfig &config)
+{
+    const FoldGeometry geometry = foldGeometry(gemm, config);
+    const std::int64_t stream = geometry.streamDim;
     const std::int64_t bpe = config.bytesPerElement;
 
     FoldSchedule schedule;
-    schedule.rowFolds = ceilDiv(dims.rowDim, sr);
-    schedule.colFolds = ceilDiv(dims.colDim, sc);
-    schedule.folds.reserve(
-        static_cast<std::size_t>(schedule.rowFolds * schedule.colFolds));
+    schedule.rowFolds = geometry.rowFolds;
+    schedule.colFolds = geometry.colFolds;
+    schedule.folds.reserve(static_cast<std::size_t>(geometry.foldCount()));
 
     for (std::int64_t i = 0; i < schedule.rowFolds; ++i) {
-        const std::int64_t rows_used =
-            std::min(sr, dims.rowDim - i * sr);
+        const std::int64_t rows_used = geometry.rowsUsed(i);
         for (std::int64_t j = 0; j < schedule.colFolds; ++j) {
-            const std::int64_t cols_used =
-                std::min(sc, dims.colDim - j * sc);
+            const std::int64_t cols_used = geometry.colsUsed(j);
 
             Fold fold;
             fold.rowsUsed = rows_used;
             fold.colsUsed = cols_used;
-            fold.streamLen = dims.streamDim;
-            fold.cycles = foldCycles(rows_used, cols_used, dims.streamDim);
-            fold.macs = rows_used * cols_used * dims.streamDim;
+            fold.streamLen = stream;
+            fold.cycles = foldCycles(rows_used, cols_used, stream);
+            fold.macs = rows_used * cols_used * stream;
 
             switch (config.dataflow) {
               case Dataflow::WeightStationary:
                 fold.filterBytes = rows_used * cols_used * bpe;
-                fold.ifmapBytes = rows_used * dims.streamDim * bpe;
-                fold.ofmapBytes = cols_used * dims.streamDim * bpe;
+                fold.ifmapBytes = rows_used * stream * bpe;
+                fold.ofmapBytes = cols_used * stream * bpe;
                 break;
               case Dataflow::OutputStationary:
-                fold.ifmapBytes = rows_used * dims.streamDim * bpe;
-                fold.filterBytes = cols_used * dims.streamDim * bpe;
+                fold.ifmapBytes = rows_used * stream * bpe;
+                fold.filterBytes = cols_used * stream * bpe;
                 fold.ofmapBytes = rows_used * cols_used * bpe;
                 break;
               case Dataflow::InputStationary:
                 fold.ifmapBytes = rows_used * cols_used * bpe;
-                fold.filterBytes = rows_used * dims.streamDim * bpe;
-                fold.ofmapBytes = cols_used * dims.streamDim * bpe;
+                fold.filterBytes = rows_used * stream * bpe;
+                fold.ofmapBytes = cols_used * stream * bpe;
                 break;
             }
             schedule.folds.push_back(fold);

@@ -18,6 +18,7 @@
 #ifndef AUTOPILOT_SYSTOLIC_TILING_H
 #define AUTOPILOT_SYSTOLIC_TILING_H
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -56,6 +57,53 @@ struct FoldSchedule
     /** Sum of per-fold useful MACs. */
     std::int64_t totalMacs() const;
 };
+
+/**
+ * Closed-form fold geometry of a layer: everything scheduleGemm()'s fold
+ * vector holds, as O(1) functions of the fold's (row, column) position.
+ * Only the last row fold and the last column fold can be partial.
+ */
+struct FoldGeometry
+{
+    std::int64_t rowDim = 0;    ///< GEMM dimension mapped to array rows.
+    std::int64_t colDim = 0;    ///< GEMM dimension mapped to array columns.
+    std::int64_t streamDim = 0; ///< GEMM dimension streamed through.
+    std::int64_t peRows = 0;
+    std::int64_t peCols = 0;
+    std::int64_t rowFolds = 0;
+    std::int64_t colFolds = 0;
+
+    std::int64_t foldCount() const { return rowFolds * colFolds; }
+
+    /** PE rows occupied by row fold @p i. */
+    std::int64_t rowsUsed(std::int64_t i) const
+    {
+        return std::min(peRows, rowDim - i * peRows);
+    }
+
+    /** PE columns occupied by column fold @p j. */
+    std::int64_t colsUsed(std::int64_t j) const
+    {
+        return std::min(peCols, colDim - j * peCols);
+    }
+
+    /** Cycles of fold (i, j); equals scheduleGemm()'s Fold::cycles. */
+    std::int64_t cycles(std::int64_t i, std::int64_t j) const;
+
+    /**
+     * Sum of all folds' cycles, equal to FoldSchedule::computeCycles():
+     * the partial row/column uses sum back to the full dimensions.
+     */
+    std::int64_t computeCycles() const
+    {
+        return 2 * colFolds * rowDim + rowFolds * colDim +
+               foldCount() * (streamDim - 2);
+    }
+};
+
+/** Fold geometry of a GEMM on a given accelerator (config validated). */
+FoldGeometry foldGeometry(const nn::GemmShape &gemm,
+                          const AcceleratorConfig &config);
 
 /**
  * Build the fold schedule for a layer on a given accelerator.

@@ -16,6 +16,7 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 namespace autopilot::util
 {
@@ -60,29 +61,32 @@ void warn(const std::string &msg);
 void inform(const std::string &msg);
 
 /**
- * Abort via panic() if a library invariant does not hold.
+ * Abort via panic() if a library invariant does not hold. The message is
+ * copied into a std::string only on failure, so hot-path checks with
+ * literal messages allocate nothing.
  *
  * @param condition Invariant that must be true.
  * @param msg       Description of the violated invariant.
  */
 inline void
-panicIf(bool condition, const std::string &msg)
+panicIf(bool condition, std::string_view msg)
 {
     if (condition)
-        panic(msg);
+        panic(std::string(msg));
 }
 
 /**
- * Exit via fatal() if a user-facing precondition does not hold.
+ * Exit via fatal() if a user-facing precondition does not hold (the
+ * message is built only on failure, as for panicIf()).
  *
  * @param condition Error condition; true means the input is invalid.
  * @param msg       Description of the misuse.
  */
 inline void
-fatalIf(bool condition, const std::string &msg)
+fatalIf(bool condition, std::string_view msg)
 {
     if (condition)
-        fatal(msg);
+        fatal(std::string(msg));
 }
 
 } // namespace autopilot::util

@@ -47,37 +47,7 @@ namespace
 std::vector<sys::AcceleratorConfig>
 sampleConfigs(std::size_t count, std::uint64_t seed)
 {
-    const sys::HardwareSpace space;
-    util::Rng rng(seed);
-    std::vector<sys::AcceleratorConfig> configs;
-    configs.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-        sys::AcceleratorConfig cfg;
-        cfg.peRows = space.peRowChoices[rng.index(space.peRowChoices.size())];
-        cfg.peCols = space.peColChoices[rng.index(space.peColChoices.size())];
-        cfg.ifmapSramKb =
-            space.sramKbChoices[rng.index(space.sramKbChoices.size())];
-        cfg.filterSramKb =
-            space.sramKbChoices[rng.index(space.sramKbChoices.size())];
-        cfg.ofmapSramKb =
-            space.sramKbChoices[rng.index(space.sramKbChoices.size())];
-        switch (i % 3) {
-          case 0: cfg.dataflow = sys::Dataflow::WeightStationary; break;
-          case 1: cfg.dataflow = sys::Dataflow::OutputStationary; break;
-          case 2: cfg.dataflow = sys::Dataflow::InputStationary; break;
-        }
-        configs.push_back(cfg);
-    }
-    // Pin the corners of the space on top of the random sample.
-    sys::AcceleratorConfig smallest;
-    smallest.peRows = smallest.peCols = 8;
-    smallest.ifmapSramKb = smallest.filterSramKb = smallest.ofmapSramKb = 32;
-    configs.push_back(smallest);
-    sys::AcceleratorConfig largest;
-    largest.peRows = largest.peCols = 1024;
-    largest.ifmapSramKb = largest.filterSramKb = largest.ofmapSramKb = 4096;
-    configs.push_back(largest);
-    return configs;
+    return sys::HardwareSpace().sampleCorpus(count, seed);
 }
 
 void
