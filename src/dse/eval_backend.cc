@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <utility>
 
 #include "airlearning/quantization.h"
 #include "dram/engine.h"
 #include "dse/hypervolume.h"
 #include "nn/e2e_template.h"
+#include "power/dram_model.h"
 #include "power/npu_power.h"
 #include "power/soc_power.h"
 #include "systolic/compiled_plan.h"
@@ -24,55 +26,66 @@ namespace autopilot::dse
 namespace
 {
 
+double
+phase1SuccessRate(const BackendContext &ctx,
+                  const nn::PolicyHyperParams &policy)
+{
+    const auto record = ctx.database->find(policy, ctx.density);
+    util::fatalIf(!record.has_value(),
+                  "EvalBackend: no Phase 1 record for policy " +
+                      nn::policyName(policy) + " - run the trainer first");
+    return record->successRate;
+}
+
 /**
  * Shared evaluation path: look up the Phase 1 success rate, run the
  * policy on @p engine, and lower the run through the NPU/SoC power
  * stack. Exactly the historical DseEvaluator::compute() sequence, so
  * the analytical backend stays bit-identical to the pre-backend
- * evaluator.
+ * evaluator. @p backgroundBytesPerSec is the flat background surcharge
+ * on DRAM power; when @p commandStats is non-null (read after the run)
+ * the DRAM term is billed from its command counts instead.
  */
 Evaluation
 evaluateWithEngine(const systolic::Engine &engine,
                    const DesignPoint &point, const BackendContext &ctx,
-                   double backgroundBytesPerSec = 0.0)
+                   double backgroundBytesPerSec = 0.0,
+                   const dram::ChannelStats *commandStats = nullptr)
 {
     Evaluation evaluation;
     evaluation.point = point;
-
-    const auto record = ctx.database->find(point.policy, ctx.density);
-    util::fatalIf(!record.has_value(),
-                  "EvalBackend: no Phase 1 record for policy " +
-                      nn::policyName(point.policy) +
-                      " - run the trainer first");
     // The Phase 1 record is int8-validated; deploying at a wider
     // precision recovers part of the quantization penalty (verbatim
     // pass-through at the int8 default).
     evaluation.successRate = airlearning::quantizedSuccessRate(
-        record->successRate, point.policy, point.accel.bytesPerElement);
+        phase1SuccessRate(ctx, point.policy), point.policy,
+        point.accel.bytesPerElement);
 
     const nn::Model model = nn::buildE2EModel(point.policy);
     const systolic::RunResult run = engine.run(model);
+    const double clock = point.accel.clockGhz;
 
     const power::NpuPowerModel npu(point.accel);
-    evaluation.npuPowerW = npu.averagePowerW(run, backgroundBytesPerSec);
+    power::NpuPowerBreakdown breakdown =
+        npu.estimate(run, backgroundBytesPerSec);
+    if (commandStats != nullptr) {
+        const power::DramCommandCounts counts{
+            commandStats->activates, commandStats->precharges,
+            commandStats->refreshes, commandStats->totalBytes()};
+        breakdown.dramW = power::DramModel().commandPowerMw(
+                              counts, run.runtimeSeconds(clock)) *
+                          1e-3;
+    }
+    evaluation.npuPowerW = breakdown.totalW();
     evaluation.socPowerW =
         power::socPower(evaluation.npuPowerW).totalW();
 
-    const double clock = point.accel.clockGhz;
     evaluation.latencyMs = run.runtimeSeconds(clock) * 1e3;
     evaluation.fps = run.framesPerSecond(clock);
 
     evaluation.objectives = {1.0 - evaluation.successRate,
                              evaluation.socPowerW, evaluation.latencyMs};
     return evaluation;
-}
-
-void
-checkContext(const BackendContext &context, const char *who)
-{
-    util::fatalIf(context.database == nullptr,
-                  std::string(who) + ": BackendContext has no policy "
-                                     "database");
 }
 
 /**
@@ -94,6 +107,15 @@ scratchArena()
  */
 constexpr std::size_t kAnalyticalChunk = 32;
 
+template <typename Backend>
+BackendRegistry::Factory
+factoryOf()
+{
+    return [](const BackendContext &context) {
+        return std::make_unique<Backend>(context);
+    };
+}
+
 } // namespace
 
 // ------------------------------------------------------------ interface ----
@@ -113,11 +135,6 @@ EvalBackend::evaluateBatch(std::span<const DesignPoint> points,
         telemetry.enabled()
             ? &telemetry.metrics().histogram("dse.simulate_s")
             : nullptr;
-    if (telemetry.enabled() && !points.empty()) {
-        telemetry.metrics()
-            .counter("dse.backend." + name() + ".points")
-            .add(points.size());
-    }
     util::parallel_for(pool, points.size(), [&](std::size_t i) {
         Evaluation evaluation;
         {
@@ -132,25 +149,13 @@ EvalBackend::evaluateBatch(std::span<const DesignPoint> points,
 // ------------------------------------------------------------- registry ----
 
 BackendRegistry::BackendRegistry()
+    : factories{{"analytical", factoryOf<AnalyticalBackend>()},
+                {"quantized", factoryOf<QuantizedBackend>()},
+                {"cycle", factoryOf<CycleBackend>()},
+                {"contention", factoryOf<ContentionBackend>()},
+                {"dram", factoryOf<DramBackend>()},
+                {"tiered", factoryOf<TieredBackend>()}}
 {
-    factories["analytical"] = [](const BackendContext &context) {
-        return std::make_unique<AnalyticalBackend>(context);
-    };
-    factories["quantized"] = [](const BackendContext &context) {
-        return std::make_unique<QuantizedBackend>(context);
-    };
-    factories["cycle"] = [](const BackendContext &context) {
-        return std::make_unique<CycleBackend>(context);
-    };
-    factories["tiered"] = [](const BackendContext &context) {
-        return std::make_unique<TieredBackend>(context);
-    };
-    factories["contention"] = [](const BackendContext &context) {
-        return std::make_unique<ContentionBackend>(context);
-    };
-    factories["dram"] = [](const BackendContext &context) {
-        return std::make_unique<DramBackend>(context);
-    };
 }
 
 BackendRegistry &
@@ -227,9 +232,17 @@ struct AnalyticalBackend::PlanCache
 };
 
 AnalyticalBackend::AnalyticalBackend(const BackendContext &context)
-    : ctx(context), plans(std::make_unique<PlanCache>())
+    : AnalyticalBackend(context, "analytical")
 {
-    checkContext(ctx, "AnalyticalBackend");
+}
+
+AnalyticalBackend::AnalyticalBackend(const BackendContext &context,
+                                     std::string name)
+    : ctx(context), registryName(std::move(name)),
+      plans(std::make_unique<PlanCache>())
+{
+    util::fatalIf(ctx.database == nullptr,
+                  "AnalyticalBackend: BackendContext has no policy database");
 }
 
 AnalyticalBackend::~AnalyticalBackend() = default;
@@ -275,12 +288,7 @@ AnalyticalBackend::batchEvaluate(std::span<const DesignPoint> points,
         auto [it, inserted] = groupIndex.try_emplace(key, groups.size());
         if (inserted) {
             Group group;
-            const auto record = ctx.database->find(policy, ctx.density);
-            util::fatalIf(!record.has_value(),
-                          "EvalBackend: no Phase 1 record for policy " +
-                              nn::policyName(policy) +
-                              " - run the trainer first");
-            group.successRate = record->successRate;
+            group.successRate = phase1SuccessRate(ctx, policy);
             {
                 std::lock_guard<std::mutex> lock(plans->mutex);
                 auto &slot = plans->byPolicy[key];
@@ -378,11 +386,6 @@ AnalyticalBackend::evaluateBatch(std::span<const DesignPoint> points,
         telemetry.enabled()
             ? &telemetry.metrics().histogram("dse.simulate_s")
             : nullptr;
-    if (telemetry.enabled() && !points.empty()) {
-        telemetry.metrics()
-            .counter("dse.backend." + name() + ".points")
-            .add(points.size());
-    }
     batchEvaluate(points, pool, commit, simulate_hist, "dse.simulate");
 }
 
@@ -402,212 +405,134 @@ AnalyticalBackend::screenBatch(std::span<const DesignPoint> points,
         screen_hist, "dse.screen");
 }
 
-// ------------------------------------------------------------- quantized ----
+// ----------------------------------------------------------------- cycle ----
 
-QuantizedBackend::QuantizedBackend(const BackendContext &context)
-    : AnalyticalBackend(context)
+CycleBackend::CycleBackend(const BackendContext &context,
+                           MemoryModel memory)
+    : ctx(context), memory(memory),
+      commandCounted(memory == MemoryModel::Banked && ctx.dram.enabled())
 {
-}
-
-void
-QuantizedBackend::evaluateBatch(std::span<const DesignPoint> points,
-                                util::ThreadPool *pool,
-                                const CommitFn &commit)
-{
-    util::Telemetry &telemetry = util::Telemetry::instance();
-    if (telemetry.enabled() && !points.empty()) {
-        // Per-precision spread of the batch: how the search splits its
-        // budget across the int8/fp16/fp32 axis.
-        std::map<int, std::uint64_t> perWidth;
-        for (const DesignPoint &point : points)
-            ++perWidth[point.accel.bytesPerElement];
-        for (const auto &[width, count] : perWidth) {
-            telemetry.metrics()
-                .counter("dse.quantized." +
-                         systolic::precisionName(width) + ".points")
-                .add(count);
-        }
+    util::fatalIf(ctx.database == nullptr,
+                  "CycleBackend: BackendContext has no policy database");
+    if (memory == MemoryModel::Derated) {
+        ctx.contention.validate();
+        engineProfile = ctx.contention;
     }
-    AnalyticalBackend::evaluateBatch(points, pool, commit);
+    if (memory == MemoryModel::Banked) {
+        // Fatal with the infeasibleReason diagnosis on degenerate
+        // timing - never simulated into NaN or infinite latency.
+        ctx.dram.validate();
+        for (const dram::TrafficGeneratorSpec &generator :
+             ctx.dram.generators)
+            genSpanNames.push_back("dram.gen." + generator.name);
+    }
 }
 
-CycleBackend::CycleBackend(const BackendContext &context) : ctx(context)
+std::string
+CycleBackend::name() const
 {
-    checkContext(ctx, "CycleBackend");
+    static const char *const names[] = {"cycle", "contention", "dram"};
+    return names[static_cast<int>(memory)];
+}
+
+Fidelity
+CycleBackend::fidelity() const
+{
+    return commandCounted ? Fidelity::BankAccurate
+                          : Fidelity::CycleAccurate;
 }
 
 Evaluation
 CycleBackend::evaluate(const DesignPoint &point)
 {
-    const systolic::CycleEngine engine(point.accel);
-    Evaluation evaluation = evaluateWithEngine(engine, point, ctx);
-    evaluation.fidelity = Fidelity::CycleAccurate;
-    evaluation.backend = name();
-    return evaluation;
-}
-
-// ------------------------------------------------------------ contention ----
-
-ContentionBackend::ContentionBackend(const BackendContext &context)
-    : ctx(context)
-{
-    checkContext(ctx, "ContentionBackend");
-    ctx.contention.validate();
-}
-
-Evaluation
-ContentionBackend::evaluate(const DesignPoint &point)
-{
-    const systolic::CycleEngine engine(point.accel, ctx.contention);
-    Evaluation evaluation = evaluateWithEngine(
-        engine, point, ctx, ctx.contention.totalBytesPerSec());
-    evaluation.fidelity = Fidelity::CycleAccurate;
-    evaluation.backend = name();
-    evaluation.contentionBytesPerSec = ctx.contention.totalBytesPerSec();
-    return evaluation;
-}
-
-void
-ContentionBackend::evaluateBatch(std::span<const DesignPoint> points,
-                                 util::ThreadPool *pool,
-                                 const CommitFn &commit)
-{
-    util::Telemetry &telemetry = util::Telemetry::instance();
-    if (telemetry.enabled() && !points.empty()) {
-        telemetry.metrics()
-            .gauge("dse.backend.contention.background_bps")
-            .set(static_cast<std::int64_t>(
-                ctx.contention.totalBytesPerSec()));
-    }
-    EvalBackend::evaluateBatch(points, pool, commit);
-}
-
-// ------------------------------------------------------------------ dram ----
-
-DramBackend::DramBackend(const BackendContext &context) : ctx(context)
-{
-    checkContext(ctx, "DramBackend");
-    // Fatal with the human-readable infeasibleReason diagnosis on
-    // degenerate timing (zero banks, zero tRP/tRCD, refresh interval
-    // inside the refresh stall, ...) - never simulated into NaN or
-    // infinite latency.
-    ctx.dram.validate();
-    for (const dram::TrafficGeneratorSpec &generator :
-         ctx.dram.generators)
-        genSpanNames.push_back("dram.gen." + generator.name);
-}
-
-Evaluation
-DramBackend::evaluate(const DesignPoint &point)
-{
-    const dram::DramCycleEngine engine(point.accel, ctx.dram);
-
-    if (!ctx.dram.enabled()) {
-        // No generators: the engine IS the pure-cycle path and power
-        // takes the plain flat path - bit-identical to CycleBackend
-        // (the bank-model-vs-contention consistency contract).
-        Evaluation evaluation = evaluateWithEngine(engine, point, ctx);
-        evaluation.fidelity = Fidelity::CycleAccurate;
-        evaluation.backend = name();
-        return evaluation;
-    }
-
-    util::Telemetry &telemetry = util::Telemetry::instance();
     // Per-generator trace spans around the simulated evaluation, named
     // by stream so a trace shows which background load shaped this run.
     std::vector<std::unique_ptr<util::TraceSpan>> genSpans;
-    if (telemetry.enabled()) {
+    if (commandCounted && util::Telemetry::instance().enabled()) {
         for (const std::string &spanName : genSpanNames) {
             genSpans.push_back(std::make_unique<util::TraceSpan>(
                 spanName.c_str(), "dram"));
         }
     }
 
-    Evaluation evaluation;
-    evaluation.point = point;
+    // Without generators the banked engine delegates to CycleEngine.
+    std::optional<systolic::CycleEngine> cycleEngine;
+    std::optional<dram::DramCycleEngine> bankedEngine;
+    const systolic::Engine &engine =
+        memory == MemoryModel::Banked
+            ? static_cast<const systolic::Engine &>(
+                  bankedEngine.emplace(point.accel, ctx.dram))
+            : cycleEngine.emplace(point.accel, engineProfile);
 
-    const auto record = ctx.database->find(point.policy, ctx.density);
-    util::fatalIf(!record.has_value(),
-                  "EvalBackend: no Phase 1 record for policy " +
-                      nn::policyName(point.policy) +
-                      " - run the trainer first");
-    evaluation.successRate = airlearning::quantizedSuccessRate(
-        record->successRate, point.policy, point.accel.bytesPerElement);
-
-    const nn::Model model = nn::buildE2EModel(point.policy);
-    const systolic::RunResult run = engine.run(model);
-    const double clock = point.accel.clockGhz;
-    const double seconds = run.runtimeSeconds(clock);
-
-    // Power: the plain stack with ZERO flat background surcharge - the
-    // background streams are billed below through the commands they
-    // actually issued, never twice (the ContentionProfile/DramModel
-    // double-charging fix).
-    const power::NpuPowerModel npu(point.accel);
-    power::NpuPowerBreakdown breakdown = npu.estimate(run, 0.0);
-    const dram::ChannelStats &stats = engine.runStats();
-    const power::DramCommandCounts counts{stats.activates,
-                                          stats.precharges,
-                                          stats.refreshes,
-                                          stats.totalBytes()};
-    breakdown.dramW =
-        power::DramModel().commandPowerMw(counts, seconds) * 1e-3;
-
-    evaluation.npuPowerW = breakdown.totalW();
-    evaluation.socPowerW = power::socPower(evaluation.npuPowerW).totalW();
-    evaluation.latencyMs = seconds * 1e3;
-    evaluation.fps = run.framesPerSecond(clock);
-    evaluation.objectives = {1.0 - evaluation.successRate,
-                             evaluation.socPowerW, evaluation.latencyMs};
-    evaluation.fidelity = Fidelity::BankAccurate;
+    // Command-counted power replaces the flat surcharge (zero there).
+    Evaluation evaluation = evaluateWithEngine(
+        engine, point, ctx, engineProfile.totalBytesPerSec(),
+        commandCounted ? &bankedEngine->runStats() : nullptr);
+    evaluation.fidelity = fidelity();
     evaluation.backend = name();
-    evaluation.dramKey = ctx.dram.tag();
-
-    rowHits_.fetch_add(stats.rowHits, std::memory_order_relaxed);
-    rowMisses_.fetch_add(stats.rowMisses, std::memory_order_relaxed);
-    rowConflicts_.fetch_add(stats.rowConflicts,
-                            std::memory_order_relaxed);
-    refreshes_.fetch_add(stats.refreshes, std::memory_order_relaxed);
-    activates_.fetch_add(stats.activates, std::memory_order_relaxed);
-    channelBytes_.fetch_add(stats.totalBytes(),
-                            std::memory_order_relaxed);
-
-    if (telemetry.enabled()) {
-        util::MetricsRegistry &metrics = telemetry.metrics();
-        metrics.counter("dse.dram.row_hits")
-            .add(static_cast<std::uint64_t>(stats.rowHits));
-        metrics.counter("dse.dram.row_misses")
-            .add(static_cast<std::uint64_t>(stats.rowMisses));
-        metrics.counter("dse.dram.row_conflicts")
-            .add(static_cast<std::uint64_t>(stats.rowConflicts));
-        metrics.counter("dse.dram.refreshes")
-            .add(static_cast<std::uint64_t>(stats.refreshes));
-        for (const dram::GeneratorStats &slice : stats.generators) {
-            metrics.counter("dse.dram.gen." + slice.name + ".requests")
-                .add(static_cast<std::uint64_t>(slice.requests));
-        }
+    evaluation.contentionBytesPerSec = engineProfile.totalBytesPerSec();
+    if (commandCounted) {
+        evaluation.dramKey = ctx.dram.tag();
+        countCommands(bankedEngine->runStats());
     }
     return evaluation;
 }
 
 void
-DramBackend::evaluateBatch(std::span<const DesignPoint> points,
-                           util::ThreadPool *pool, const CommitFn &commit)
+CycleBackend::countCommands(const dram::ChannelStats &stats)
+{
+    {
+        std::lock_guard<std::mutex> lock(totalsMutex);
+        totals.accumulate(stats);
+    }
+
+    util::Telemetry &telemetry = util::Telemetry::instance();
+    if (!telemetry.enabled())
+        return;
+    util::MetricsRegistry &metrics = telemetry.metrics();
+    for (const auto &[counter, count] :
+         {std::pair{"dse.dram.row_hits", stats.rowHits},
+          std::pair{"dse.dram.row_misses", stats.rowMisses},
+          std::pair{"dse.dram.row_conflicts", stats.rowConflicts},
+          std::pair{"dse.dram.refreshes", stats.refreshes}})
+        metrics.counter(counter).add(static_cast<std::uint64_t>(count));
+    for (const dram::GeneratorStats &slice : stats.generators) {
+        metrics.counter("dse.dram.gen." + slice.name + ".requests")
+            .add(static_cast<std::uint64_t>(slice.requests));
+    }
+}
+
+dram::ChannelStats
+CycleBackend::commandTotals() const
+{
+    std::lock_guard<std::mutex> lock(totalsMutex);
+    return totals;
+}
+
+void
+CycleBackend::evaluateBatch(std::span<const DesignPoint> points,
+                            util::ThreadPool *pool, const CommitFn &commit)
 {
     EvalBackend::evaluateBatch(points, pool, commit);
     util::Telemetry &telemetry = util::Telemetry::instance();
-    if (telemetry.enabled() && !points.empty() && ctx.dram.enabled()) {
+    if (!telemetry.enabled() || points.empty())
+        return;
+    if (memory == MemoryModel::Derated) {
+        telemetry.metrics()
+            .gauge("dse.backend.contention.background_bps")
+            .set(static_cast<std::int64_t>(
+                engineProfile.totalBytesPerSec()));
+    }
+    if (commandCounted) {
         // Running aggregate hit rate across every evaluation so far -
         // the row-locality signal of the whole campaign.
-        const std::int64_t hits = rowHits_.load();
-        const std::int64_t total =
-            hits + rowMisses_.load() + rowConflicts_.load();
-        if (total > 0) {
+        const dram::ChannelStats running = commandTotals();
+        if (running.accesses() > 0) {
             telemetry.metrics()
                 .gauge("dse.dram.hit_rate_ppm")
                 .set(static_cast<std::int64_t>(
-                    1e6 * static_cast<double>(hits) /
-                    static_cast<double>(total)));
+                    1e6 * static_cast<double>(running.rowHits) /
+                    static_cast<double>(running.accesses())));
         }
     }
 }
@@ -616,15 +541,14 @@ DramBackend::evaluateBatch(std::span<const DesignPoint> points,
 
 TieredBackend::TieredBackend(const BackendContext &context,
                              const TieredPolicy &policy)
-    : screen(context), tierPolicy(policy), band_(policy.promotionBand)
+    : screen(context),
+      // The verify tier is the most accurate model configured:
+      // bank-level when the context carries traffic generators, else
+      // derated (the ideal cycle path with an empty profile).
+      verify(context, context.dram.enabled() ? MemoryModel::Banked
+                                             : MemoryModel::Derated),
+      tierPolicy(policy), band_(policy.promotionBand)
 {
-    // The verify tier is the most accurate model configured: bank-level
-    // when the context carries traffic generators, else the contention
-    // engine (bit-identical to plain cycle with an empty profile).
-    if (context.dram.enabled())
-        verify = std::make_unique<DramBackend>(context);
-    else
-        verify = std::make_unique<ContentionBackend>(context);
     util::fatalIf(tierPolicy.promotionBand <= 0.0 ||
                       tierPolicy.promotionBand >= 1.0,
                   "TieredBackend: promotion band outside (0, 1)");
@@ -717,11 +641,6 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
 
     util::Telemetry &telemetry = util::Telemetry::instance();
     const bool telemetry_on = telemetry.enabled();
-    if (telemetry_on) {
-        telemetry.metrics()
-            .counter("dse.backend." + name() + ".points")
-            .add(points.size());
-    }
 
     // --- 1. Analytical screen (parallel; pure per point) ---
     // Rides the compiled-plan SoA batch kernel; bit-identical to
@@ -789,7 +708,7 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
             {
                 util::TraceSpan span("dse.simulate", "dse");
                 util::ScopedTimer timer(simulate_hist);
-                evaluation = verify->evaluate(points[i]);
+                evaluation = verify.evaluate(points[i]);
             }
             evaluation.backend = name(); // Verify-tier fidelity kept.
             cycleLatencyMs[p] = evaluation.latencyMs;

@@ -9,39 +9,18 @@
  * backend and routes every cache miss through it, so the memoization,
  * batching and determinism machinery is shared by all cost models.
  *
- * Six backends ship in-tree, keyed in the BackendRegistry:
+ * Six registry names map onto two engines and one composition
+ * (DESIGN.md section 9):
  *
- *  - "analytical": the closed-form AnalyticalEngine + NPU/SoC power
- *    stack - the historical DseEvaluator::compute() path, bit-identical
- *    to it. The default; fast enough to burn inside the DSE loop.
- *  - "quantized": the analytical stack with the precision search axis
- *    made explicit - same numbers, rows archive backend "quantized",
- *    and per-precision "dse.quantized.<label>.points" telemetry shows
- *    how the search spreads across int8/fp16/fp32 (pair with
- *    TaskSpec::precisions to widen the 8th design dimension).
- *  - "cycle": the same power stack on the cycle-stepped reference
- *    CycleEngine (explicit double-buffered prefetch timeline). Slower,
- *    higher fidelity; previously reachable only from the benches.
- *  - "tiered": cheap-screen / accurate-verify. Every point is screened
- *    analytically; only points whose screened objectives are
- *    Pareto-competitive (within a configurable hypervolume-contribution
- *    band of the running analytical front) are promoted to a
- *    cycle-accurate re-evaluation. Each Evaluation records which
- *    fidelity produced its archived numbers.
- *  - "contention": the cycle engine under the BackendContext's
- *    shared-DRAM ContentionProfile - fetch/writeback bandwidth derated
- *    by the background camera/host traffic, and that traffic charged
- *    to DRAM power. With an empty profile its numbers are bit-identical
- *    to "cycle". Each evaluation records the profile's bytes/s so a
- *    journaled run resumes under the profile it was written with.
- *  - "dram": the highest fidelity tier - the cycle timeline over a
- *    bank-level DRAM channel (dram::BankModel) shared with
- *    programmable camera/host traffic generators; latency comes from
- *    simulated per-request row hit/miss/conflict service times and
- *    DRAM power from actual activate/precharge/refresh counts. With no
- *    generators its numbers are bit-identical to "cycle". Each
- *    evaluation records the channel tag so a journaled run resumes
- *    under the channel it was written with.
+ *  - AnalyticalBackend: closed-form AnalyticalEngine + NPU/SoC power
+ *    stack, serving "analytical" (the default) and "quantized", which
+ *    differ only in the archived backend name.
+ *  - CycleBackend: cycle-stepped CycleEngine + the same power stack
+ *    under a MemoryModel fixed at construction: "cycle" (ideal),
+ *    "contention" (derated) or "dram" (banked).
+ *  - TieredBackend ("tiered"): an analytical screen of every point plus
+ *    CycleBackend verification of the Pareto-competitive ones; each
+ *    Evaluation records which fidelity produced its archived numbers.
  *
  * Determinism: analytical and cycle evaluations are pure functions of
  * the design point. The tiered promotion decision is stateful (it
@@ -50,19 +29,18 @@
  * for a fixed request sequence - e.g. a seeded optimizer loop - results
  * are byte-identical at any worker-thread count.
  *
- * Telemetry: with the global util::Telemetry enabled each batch bumps
- * "dse.backend.<name>.points"; the tiered backend additionally counts
- * "dse.tiered.screened" / "dse.tiered.promoted" and wraps its screening
- * pass in a "dse.tiered.screen" trace span. Granularity caveat: the
- * analytical batch path processes points in SoA chunks, so its
- * "dse.simulate" spans and "dse.simulate_s" / "dse.screen_s" samples
- * cover one chunk (up to 32 points) each; the cycle-engine backends
- * keep per-point samples.
+ * Telemetry: the DseEvaluator counts "dse.backend.<name>.points"; the
+ * tiered backend counts "dse.tiered.screened" / "dse.tiered.promoted"
+ * under a "dse.tiered.screen" span. The analytical batch path works in
+ * SoA chunks, so its "dse.simulate" spans and "dse.simulate_s" /
+ * "dse.screen_s" samples cover up to 32 points each; the cycle backend
+ * keeps per-point samples.
  */
 
 #ifndef AUTOPILOT_DSE_EVAL_BACKEND_H
 #define AUTOPILOT_DSE_EVAL_BACKEND_H
 
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
@@ -71,9 +49,8 @@
 #include <string>
 #include <vector>
 
-#include <atomic>
-
 #include "airlearning/database.h"
+#include "dram/bank_model.h"
 #include "dram/config.h"
 #include "dse/design_space.h"
 #include "dse/evaluation.h"
@@ -92,14 +69,14 @@ struct BackendContext
     /// Deployment scenario being designed for.
     airlearning::ObstacleDensity density =
         airlearning::ObstacleDensity::Low;
-    /// Background DRAM traffic sharing the NPU's channel. Only the
-    /// contention backend reads it; the default (empty) profile keeps
-    /// every other backend's results untouched.
+    /// Background DRAM traffic sharing the NPU's channel. Read by the
+    /// derated memory model ("contention" and the tiered verify tier);
+    /// the default (empty) profile keeps every result untouched.
     systolic::ContentionProfile contention;
     /// Bank-level DRAM channel description (timing + traffic
-    /// generators). Read by the dram backend and, when enabled, by the
-    /// tiered verify tier; the default (no generators) keeps every
-    /// backend's results untouched. Mutually exclusive with a
+    /// generators). Read by the banked memory model ("dram" and, when
+    /// enabled, the tiered verify tier); the default (no generators)
+    /// keeps every result untouched. Mutually exclusive with a
     /// non-empty contention profile - the two encode the same
     /// background traffic at different fidelities, and billing it
     /// twice (flat derate + simulated interference) would double-charge
@@ -161,10 +138,10 @@ class EvalBackend
 /**
  * String-keyed backend factory registry.
  *
- * The three in-tree backends are pre-registered; anything else (a
- * quantized-NN variant, a DRAM-contention model, a remote simulator
- * shim) plugs in through registerFactory() and becomes reachable from
- * TaskSpec::backend without touching the evaluator.
+ * The six in-tree names (analytical, quantized, cycle, contention,
+ * dram, tiered) are pre-registered; anything else (a remote simulator
+ * shim, a test double) plugs in through registerFactory() and becomes
+ * reachable from TaskSpec::backend without touching the evaluator.
  */
 class BackendRegistry
 {
@@ -220,7 +197,7 @@ class AnalyticalBackend : public EvalBackend
     explicit AnalyticalBackend(const BackendContext &context);
     ~AnalyticalBackend() override;
 
-    std::string name() const override { return "analytical"; }
+    std::string name() const override { return registryName; }
     Fidelity fidelity() const override { return Fidelity::Analytical; }
     Evaluation evaluate(const DesignPoint &point) override;
     void evaluateBatch(std::span<const DesignPoint> points,
@@ -229,14 +206,18 @@ class AnalyticalBackend : public EvalBackend
 
     /**
      * The batch path with screening instrumentation: identical results
-     * to evaluateBatch() (fidelity Analytical, backend "analytical"),
-     * but chunk timings go to @p screen_hist and the per-chunk trace
-     * spans are named "dse.screen". Used by TieredBackend's screen
-     * tier so the tiered pipeline rides the same SoA kernel.
+     * to evaluateBatch(), but chunk timings go to @p screen_hist and the
+     * per-chunk trace spans are named "dse.screen". Used by
+     * TieredBackend's screen tier so the tiered pipeline rides the same
+     * SoA kernel.
      */
     void screenBatch(std::span<const DesignPoint> points,
                      util::ThreadPool *pool, std::span<Evaluation> out,
                      util::Histogram *screen_hist);
+
+  protected:
+    /// The same backend archived under another registry name.
+    AnalyticalBackend(const BackendContext &context, std::string name);
 
   private:
     struct PlanCache;
@@ -247,158 +228,127 @@ class AnalyticalBackend : public EvalBackend
                        const char *span_name);
 
     BackendContext ctx;
+    std::string registryName;
     /// Compiled plans per policy (<= |PolicySpace| = 27 entries),
     /// built on first use behind a mutex.
     std::unique_ptr<PlanCache> plans;
 };
 
 /**
- * Precision-aware analytical backend for quantized-inference search.
- *
- * Numerically identical to AnalyticalBackend - every backend already
- * prices the design point's bytesPerElement (traffic, MAC/SRAM energy,
- * fold occupancy) and recovers the Phase 1 quantization penalty at
- * wider precisions - so this subclass exists to make the precision axis
- * an explicit, named choice: rows archive backend "quantized", and each
- * batch additionally bumps per-precision "dse.quantized.<label>.points"
- * counters so telemetry shows how the search spreads across int8/fp16/
- * fp32. Pair it with TaskSpec::precisions to widen the 8th dimension;
- * with the default int8-only axis it is bit-identical to "analytical"
- * except for the archived backend name.
+ * "quantized": AnalyticalBackend under the name a precision-axis run
+ * archives. Pair it with TaskSpec::precisions to widen the 8th design
+ * dimension; with the default int8-only axis it is bit-identical to
+ * "analytical" except for the backend column.
  */
 class QuantizedBackend : public AnalyticalBackend
 {
   public:
-    explicit QuantizedBackend(const BackendContext &context);
-
-    std::string name() const override { return "quantized"; }
-    void evaluateBatch(std::span<const DesignPoint> points,
-                       util::ThreadPool *pool,
-                       const CommitFn &commit) override;
+    explicit QuantizedBackend(const BackendContext &context)
+        : AnalyticalBackend(context, "quantized")
+    {
+    }
 };
 
-/** Cycle-stepped reference engine + the same power stack. */
+/** How a CycleBackend's DRAM channel serves the NPU's fetches. */
+enum class MemoryModel
+{
+    Ideal,   ///< The NPU owns the channel ("cycle").
+    Derated, ///< Bandwidth derated by BackendContext::contention, whose
+             ///< bytes/s are charged to DRAM power ("contention").
+    Banked,  ///< Bank-level channel shared with BackendContext::dram's
+             ///< generators ("dram").
+};
+
+/**
+ * Cycle-stepped engine + the same power stack, under one memory model
+ * fixed for the backend's lifetime.
+ *
+ * evaluate() runs a systolic::CycleEngine over the derated profile
+ * (empty unless Derated), or a dram::DramCycleEngine over the DramSpec
+ * when Banked, then the shared success-rate and power tail once. With
+ * generators the banked engine interleaves every NPU burst with the
+ * background streams per bank, and DRAM power is billed from the
+ * simulated command counts INSTEAD of a flat bytes/s surcharge, so the
+ * background is charged once. Without generators, or Derated with an
+ * empty profile, the numbers equal the ideal path bit for bit. Derated
+ * rows record the profile's bytes/s and command-counted rows the
+ * channel tag, so a journaled run resumes under the memory it was
+ * written with. Pure per point: byte-identical at any thread count.
+ *
+ * Telemetry: Derated batches set "dse.backend.contention.background_bps".
+ * Command-counted evaluations open "dram.gen.<name>" spans and add to
+ * the "dse.dram.*" command counters; their batches set
+ * "dse.dram.hit_rate_ppm".
+ */
 class CycleBackend : public EvalBackend
 {
   public:
-    explicit CycleBackend(const BackendContext &context);
+    explicit CycleBackend(const BackendContext &context,
+                          MemoryModel memory = MemoryModel::Ideal);
 
-    std::string name() const override { return "cycle"; }
-    Fidelity fidelity() const override { return Fidelity::CycleAccurate; }
-    Evaluation evaluate(const DesignPoint &point) override;
-
-  private:
-    BackendContext ctx;
-};
-
-/**
- * Cycle-stepped engine under a shared-DRAM contention profile.
- *
- * The profile comes from the BackendContext (plumbed from
- * TaskSpec/campaign flags); designs pay both the latency of the
- * derated channel and the DRAM power of the background traffic. Pure
- * per point like CycleBackend - the profile is fixed for the backend's
- * lifetime - so the default batched path applies unchanged.
- *
- * Telemetry: besides the shared "dse.backend.contention.points"
- * counter, each batch sets the "dse.backend.contention.background_bps"
- * gauge to the profile's background rate.
- */
-class ContentionBackend : public EvalBackend
-{
-  public:
-    explicit ContentionBackend(const BackendContext &context);
-
-    std::string name() const override { return "contention"; }
-    Fidelity fidelity() const override { return Fidelity::CycleAccurate; }
+    /** "cycle", "contention" or "dram", by memory model. */
+    std::string name() const override;
+    /** BankAccurate on a banked spec with generators, else
+     * CycleAccurate. */
+    Fidelity fidelity() const override;
     Evaluation evaluate(const DesignPoint &point) override;
     void evaluateBatch(std::span<const DesignPoint> points,
                        util::ThreadPool *pool,
                        const CommitFn &commit) override;
 
-    const systolic::ContentionProfile &profile() const
+    /** Channel counters accumulated across every command-counted
+     * evaluation since construction (monotonic; thread-safe). */
+    dram::ChannelStats commandTotals() const;
+    std::int64_t rowHits() const { return commandTotals().rowHits; }
+    std::int64_t rowMisses() const { return commandTotals().rowMisses; }
+    std::int64_t rowConflicts() const
     {
-        return ctx.contention;
+        return commandTotals().rowConflicts;
+    }
+    std::int64_t refreshes() const { return commandTotals().refreshes; }
+    std::int64_t activates() const { return commandTotals().activates; }
+    std::int64_t channelBytes() const
+    {
+        return commandTotals().totalBytes();
     }
 
   private:
+    void countCommands(const dram::ChannelStats &stats);
+
     BackendContext ctx;
-};
-
-/**
- * Cycle-stepped engine over the bank-level DRAM channel: the highest
- * fidelity tier, above "contention".
- *
- * The DramSpec comes from the BackendContext (plumbed from
- * TaskSpec/campaign flags). Where the contention backend derates one
- * aggregate bandwidth number, this backend simulates the channel:
- * every NPU prefetch/writeback is split into bursts, classified per
- * bank (row hit/miss/conflict, refresh stalls) and interleaved with
- * the programmable background generators in deterministic arrival
- * order (dram::ChannelTimeline), so effective latency comes from
- * simulated per-request service times. DRAM power is charged from the
- * actual activate/precharge/refresh/byte counts
- * (power::DramModel::commandPowerMw) INSTEAD of the flat
- * background-bytes/s surcharge - the background streams are billed
- * exactly once, through the commands they really issued. The
- * contention profile in the context is ignored by construction (the
- * AutoPilot task layer rejects specs that set both).
- *
- * With no generators configured the backend reproduces the pure-cycle
- * path bit for bit: the engine delegates to systolic::CycleEngine and
- * power takes the plain flat path with zero background traffic.
- *
- * Pure per point (the spec is fixed for the backend's lifetime), so
- * the default batched path applies unchanged and results are
- * byte-identical at any thread count.
- *
- * Telemetry: besides the shared "dse.backend.dram.points" counter,
- * each batch folds the simulated command counts into
- * "dse.dram.row_hits" / "dse.dram.row_misses" / "dse.dram.row_conflicts"
- * / "dse.dram.refreshes", per-generator request counters
- * "dse.dram.gen.<name>.requests", and sets the "dse.dram.hit_rate_ppm"
- * gauge; per-generator trace spans ("dram.gen.<name>") wrap each
- * simulated evaluation.
- */
-class DramBackend : public EvalBackend
-{
-  public:
-    explicit DramBackend(const BackendContext &context);
-
-    std::string name() const override { return "dram"; }
-    Fidelity fidelity() const override
-    {
-        return ctx.dram.enabled() ? Fidelity::BankAccurate
-                                  : Fidelity::CycleAccurate;
-    }
-    Evaluation evaluate(const DesignPoint &point) override;
-    void evaluateBatch(std::span<const DesignPoint> points,
-                       util::ThreadPool *pool,
-                       const CommitFn &commit) override;
-
-    const dram::DramSpec &spec() const { return ctx.dram; }
-
-    /** Command counters accumulated across every evaluation since
-     * construction (monotonic; thread-safe). */
-    std::int64_t rowHits() const { return rowHits_.load(); }
-    std::int64_t rowMisses() const { return rowMisses_.load(); }
-    std::int64_t rowConflicts() const { return rowConflicts_.load(); }
-    std::int64_t refreshes() const { return refreshes_.load(); }
-    std::int64_t activates() const { return activates_.load(); }
-    std::int64_t channelBytes() const { return channelBytes_.load(); }
-
-  private:
-    BackendContext ctx;
+    MemoryModel memory;
+    /// Banked over a spec with generators: the only case that bills
+    /// DRAM power from simulated command counts.
+    bool commandCounted;
+    /// The profile the engine derates by: ctx.contention when Derated,
+    /// else empty.
+    systolic::ContentionProfile engineProfile;
     /// Stable per-generator trace-span names ("dram.gen.<name>");
     /// TraceSpan keeps the char pointer, so the strings must outlive
     /// every span.
     std::vector<std::string> genSpanNames;
-    std::atomic<std::int64_t> rowHits_{0};
-    std::atomic<std::int64_t> rowMisses_{0};
-    std::atomic<std::int64_t> rowConflicts_{0};
-    std::atomic<std::int64_t> refreshes_{0};
-    std::atomic<std::int64_t> activates_{0};
-    std::atomic<std::int64_t> channelBytes_{0};
+    mutable std::mutex totalsMutex;
+    dram::ChannelStats totals;
+};
+
+/** "contention": CycleBackend over the derated memory model. */
+class ContentionBackend : public CycleBackend
+{
+  public:
+    explicit ContentionBackend(const BackendContext &context)
+        : CycleBackend(context, MemoryModel::Derated)
+    {
+    }
+};
+
+/** "dram": CycleBackend over the banked memory model. */
+class DramBackend : public CycleBackend
+{
+  public:
+    explicit DramBackend(const BackendContext &context)
+        : CycleBackend(context, MemoryModel::Banked)
+    {
+    }
 };
 
 /** Tiered-promotion policy knobs. */
@@ -511,13 +461,13 @@ class TieredBackend : public EvalBackend
     void foldError(double analyticalLatencyMs, double cycleLatencyMs);
 
     AnalyticalBackend screen;
-    /// The verify tier: the bank-level DramBackend when the context's
-    /// DramSpec is enabled (only knee-adjacent promoted designs pay
-    /// bank-level simulation), else the ContentionBackend under the
-    /// context's contention profile - which with the default empty
-    /// profile is bit-identical to CycleBackend. Promoted rows archive
-    /// the verify tier's fidelity (BankAccurate or CycleAccurate).
-    std::unique_ptr<EvalBackend> verify;
+    /// The verify tier: banked when the context's DramSpec is enabled
+    /// (only knee-adjacent promoted designs pay bank-level simulation),
+    /// else derated by the context's contention profile - which with
+    /// the default empty profile is the ideal cycle path. Promoted rows
+    /// archive the verify tier's fidelity (BankAccurate or
+    /// CycleAccurate).
+    CycleBackend verify;
     TieredPolicy tierPolicy;
 
     mutable std::mutex stateMutex;

@@ -61,6 +61,27 @@ DseEvaluator::evaluate(const Encoding &encoding)
                 .evaluation;
 }
 
+void
+DseEvaluator::countBackendPoints(std::span<const DesignPoint> points) const
+{
+    util::MetricsRegistry &metrics = util::Telemetry::instance().metrics();
+    metrics.counter("dse.backend." + evalBackend->name() + ".points")
+        .add(points.size());
+    if (!designSpace.precisionAxisEnabled())
+        return;
+    // Per-precision spread of the batch: how the search splits its
+    // budget across the int8/fp16/fp32 axis.
+    std::map<int, std::uint64_t> perWidth;
+    for (const DesignPoint &point : points)
+        ++perWidth[point.accel.bytesPerElement];
+    for (const auto &[width, count] : perWidth) {
+        metrics
+            .counter("dse.quantized." + systolic::precisionName(width) +
+                     ".points")
+            .add(count);
+    }
+}
+
 std::vector<BatchResult>
 DseEvaluator::evaluateBatch(std::span<const Encoding> encodings)
 {
@@ -160,6 +181,8 @@ DseEvaluator::evaluateBatch(std::span<const Encoding> encodings)
         for (const Claim &claim : claimed)
             points.push_back(
                 designSpace.decode(claim.node->evaluation.encoding));
+        if (telemetry_on)
+            countBackendPoints(points);
         evalBackend->evaluateBatch(
             points, workers,
             [this, &claimed](std::size_t i, Evaluation &&evaluation) {

@@ -26,9 +26,10 @@
  * cacheStats()), per-point simulation time is recorded into the
  * "dse.simulate_s" histogram, each batch/simulation emits a trace
  * span ("dse.evaluateBatch" / "dse.simulate"), each backend batch
- * bumps "dse.backend.<name>.points", and the per-batch memo-key
- * construction (encodings hashed once up front, reused by every
- * shard lookup) is timed into "dse.cache.key_build_s".
+ * bumps "dse.backend.<name>.points" (and, when the precision axis is
+ * searchable, "dse.quantized.<label>.points" per operand width), and
+ * the per-batch memo-key construction (encodings hashed once up front,
+ * reused by every shard lookup) is timed into "dse.cache.key_build_s".
  */
 
 #ifndef AUTOPILOT_DSE_EVALUATOR_H
@@ -281,6 +282,10 @@ class DseEvaluator
 
     Shard &shardFor(const Encoding &encoding);
     const Shard &shardFor(const Encoding &encoding) const;
+
+    /// Telemetry for one backend batch: the per-backend point counter
+    /// and, on a searchable precision axis, the per-width counters.
+    void countBackendPoints(std::span<const DesignPoint> points) const;
 
     const airlearning::PolicyDatabase &policyDb;
     airlearning::ObstacleDensity scenario;

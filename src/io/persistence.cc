@@ -1,5 +1,6 @@
 #include "io/persistence.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -92,55 +93,41 @@ const std::vector<std::string> databaseHeader = {
 /// what lets pre-precision journals replay byte-identically.
 constexpr std::size_t encodedColumns = 7;
 
-/// Precision-axis archive layout: the 17-column layout plus a trailing
-/// operand-precision label ("int8"/"fp16"/"fp32"). Written only when
-/// the precision axis is searchable; single-precision runs keep the
-/// 17-column layout below so their archives stay byte-identical.
-const std::vector<std::string> precisionArchiveHeader = {
+/// Every archive column, in layout order. Each accepted layout is a
+/// prefix of this list (see acceptedWidths), so a newer layout only ever
+/// appends columns and an older file loads with the absent trailing
+/// fields at their defaults.
+const std::vector<std::string> archiveColumns = {
     "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
     "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
     "npu_power_w", "soc_power_w", "latency_ms",    "fps",
     "backend",     "fidelity",    "contention_bps", "scenario",
     "dram",        "precision"};
 
-const std::vector<std::string> archiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",    "fps",
-    "backend",     "fidelity",    "contention_bps", "scenario",
-    "dram"};
+/// Column index of each field that older layouts lack; a row carries
+/// the field when it is wider than the index.
+constexpr std::size_t backendColumn = 12;    // + fidelity (13)
+constexpr std::size_t contentionColumn = 14;
+constexpr std::size_t scenarioColumn = 15;
+constexpr std::size_t dramColumn = 16;
+constexpr std::size_t precisionColumn = 17;
 
-/// Pre-dram archive layout: scenario but no bank-level channel column;
-/// such rows load with the default "-" (no bank simulation) tag.
-const std::vector<std::string> legacyScenarioArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",    "fps",
-    "backend",     "fidelity",    "contention_bps", "scenario"};
+/// Accepted layout widths, newest first: the precision-axis layout
+/// (18), the single-precision default (17), pre-dram (16), pre-airframe
+/// (15), pre-contention (14) and pre-backend (12). Absent columns load
+/// as analytical fidelity, zero contention, scenario and dram "-".
+constexpr std::size_t acceptedWidths[] = {18, 17, 16, 15, 14, 12};
 
-/// Pre-airframe archive layout: contention but no mission-mix scenario
-/// column; such rows load with the default "-" (legacy single-scenario
-/// workload) tag.
-const std::vector<std::string> legacyContentionArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx",   "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",     "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",    "fps",
-    "backend",     "fidelity",    "contention_bps"};
+/// The default single-precision layout: everything but the precision
+/// label, which only a searchable precision axis writes.
+constexpr std::size_t defaultWidth = precisionColumn;
 
-/// Pre-contention-backend archive layout: backend/fidelity but no
-/// contention column; such rows load with zero background traffic.
-const std::vector<std::string> legacyBackendArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx", "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",   "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",  "fps",
-    "backend",     "fidelity"};
-
-/// Pre-backend-layer archive layout: no backend/fidelity columns.
-/// Still readable; such rows load as analytical-fidelity evaluations.
-const std::vector<std::string> legacyArchiveHeader = {
-    "layers_idx",  "filters_idx", "pe_rows_idx", "pe_cols_idx",
-    "ifmap_idx",   "filter_idx",  "ofmap_idx",   "success_rate",
-    "npu_power_w", "soc_power_w", "latency_ms",  "fps"};
+std::vector<std::string>
+archivePrefix(std::size_t width)
+{
+    return {archiveColumns.begin(),
+            archiveColumns.begin() + static_cast<std::ptrdiff_t>(width)};
+}
 
 bool
 densityFromName(const std::string &name,
@@ -204,8 +191,9 @@ failAt(ParseDiag &diag, const LineReader &reader,
 }
 
 /**
- * Decode one archive row (already width-checked against its header's
- * column set, so row.size() distinguishes the three layouts).
+ * Decode one archive row (already width-checked against its header,
+ * so row.size() names the layout: a field is present when the row is
+ * wider than its column index).
  * Returns the reason on a malformed field, empty on success.
  */
 std::string
@@ -231,39 +219,41 @@ tryDecodeArchiveRow(const std::vector<std::string> &row,
         reason = tryParseDouble(row[11], eval.fps);
     if (!reason.empty())
         return reason;
-    if (row.size() > legacyArchiveHeader.size()) {
-        eval.backend = row[12];
-        if (!dse::tryFidelityFromName(row[13], eval.fidelity))
-            return "unknown fidelity '" + row[13] + "'";
+    if (row.size() > backendColumn) {
+        eval.backend = row[backendColumn];
+        if (!dse::tryFidelityFromName(row[backendColumn + 1],
+                                      eval.fidelity))
+            return "unknown fidelity '" + row[backendColumn + 1] + "'";
     }
-    if (row.size() > legacyBackendArchiveHeader.size()) {
-        reason = tryParseDouble(row[14], eval.contentionBytesPerSec);
+    if (row.size() > contentionColumn) {
+        reason = tryParseDouble(row[contentionColumn],
+                                eval.contentionBytesPerSec);
         if (!reason.empty())
             return reason;
         if (!(eval.contentionBytesPerSec >= 0.0) ||
             !std::isfinite(eval.contentionBytesPerSec))
             return "contention bytes/s must be finite and >= 0";
     }
-    if (row.size() > legacyContentionArchiveHeader.size()) {
-        if (row[15].empty())
+    if (row.size() > scenarioColumn) {
+        if (row[scenarioColumn].empty())
             return "empty scenario tag";
-        eval.scenario = row[15];
+        eval.scenario = row[scenarioColumn];
     }
-    if (row.size() > legacyScenarioArchiveHeader.size()) {
-        if (row[16].empty())
+    if (row.size() > dramColumn) {
+        if (row[dramColumn].empty())
             return "empty dram channel tag";
-        eval.dramKey = row[16];
+        eval.dramKey = row[dramColumn];
     }
     eval.point = space.decode(eval.encoding);
-    if (row.size() > archiveHeader.size()) {
+    if (row.size() > precisionColumn) {
         // Precision label column: decode through the default space
         // first (index 0 = int8), then override the operand width from
         // the archived label - the label, not an index, is what stays
         // unambiguous across precision sets.
         int width = 0;
-        if (!systolic::precisionFromName(row[17], width))
-            return "unknown precision '" + row[17] + "'";
-        eval.precision = row[17];
+        if (!systolic::precisionFromName(row[precisionColumn], width))
+            return "unknown precision '" + row[precisionColumn] + "'";
+        eval.precision = row[precisionColumn];
         eval.point.accel.bytesPerElement = width;
     }
     eval.objectives = {1.0 - eval.successRate, eval.socPowerW,
@@ -363,23 +353,27 @@ readPolicyDatabase(std::istream &is)
 const std::vector<std::string> &
 dseArchiveHeader()
 {
-    return archiveHeader;
+    static const std::vector<std::string> header =
+        archivePrefix(defaultWidth);
+    return header;
 }
 
 const std::vector<std::vector<std::string>> &
 dseArchiveAcceptedHeaders()
 {
-    static const std::vector<std::vector<std::string>> accepted = {
-        precisionArchiveHeader, archiveHeader,
-        legacyScenarioArchiveHeader, legacyContentionArchiveHeader,
-        legacyBackendArchiveHeader, legacyArchiveHeader};
+    static const std::vector<std::vector<std::string>> accepted = [] {
+        std::vector<std::vector<std::string>> headers;
+        for (std::size_t width : acceptedWidths)
+            headers.push_back(archivePrefix(width));
+        return headers;
+    }();
     return accepted;
 }
 
 const std::vector<std::string> &
 dsePrecisionArchiveHeader()
 {
-    return precisionArchiveHeader;
+    return archiveColumns;
 }
 
 void
@@ -411,10 +405,10 @@ writeDseArchive(const std::vector<dse::Evaluation> &archive,
     // Precision-labelled rows select the wider layout; a run labels
     // either every row or none (the evaluator stamps labels only when
     // the axis is searchable), so checking the first row suffices.
-    const bool precisionColumn =
+    const bool precisionLabels =
         !archive.empty() && archive.front().precision != "-";
     const std::vector<std::string> &header =
-        precisionColumn ? precisionArchiveHeader : archiveHeader;
+        precisionLabels ? dsePrecisionArchiveHeader() : dseArchiveHeader();
     for (std::size_t i = 0; i < header.size(); ++i)
         os << header[i] << (i + 1 == header.size() ? "\n" : ",");
     for (const dse::Evaluation &eval : archive)
@@ -432,19 +426,13 @@ tryReadDseArchive(std::istream &is, ParseDiag &diag)
         diag = {false, 1, "empty stream"};
         return archive;
     }
+    // The header must be one accepted prefix of archiveColumns; its
+    // width is then the width of every row.
     const std::vector<std::string> header = splitCsvLine(line);
-    std::size_t width = archiveHeader.size();
-    if (header == legacyArchiveHeader)
-        width = legacyArchiveHeader.size();
-    else if (header == legacyBackendArchiveHeader)
-        width = legacyBackendArchiveHeader.size();
-    else if (header == legacyContentionArchiveHeader)
-        width = legacyContentionArchiveHeader.size();
-    else if (header == legacyScenarioArchiveHeader)
-        width = legacyScenarioArchiveHeader.size();
-    else if (header == precisionArchiveHeader)
-        width = precisionArchiveHeader.size();
-    else if (header != archiveHeader) {
+    const std::size_t width = header.size();
+    if (std::find(std::begin(acceptedWidths), std::end(acceptedWidths),
+                  width) == std::end(acceptedWidths) ||
+        !std::equal(header.begin(), header.end(), archiveColumns.begin())) {
         failAt(diag, reader, "unexpected header '" + line + "'");
         return archive;
     }

@@ -374,6 +374,21 @@ parseSubmission(const std::string &id, const std::string &text,
     } else {
         sub.task.spec.contention.cameraBytesPerSec = cameraMbps * 1e6;
         sub.task.spec.contention.hostBytesPerSec = hostMbps * 1e6;
+        // The derated backends ("contention", and "tiered" without
+        // dram_* keys) would fatal mid-campaign on a profile that
+        // starves the channel, taking every co-running tenant down. The
+        // hardware space never varies clock or DRAM width, so the
+        // default configuration's peak is every design's peak.
+        const std::string &backend = sub.task.spec.backend;
+        if (backend == "contention" || backend == "tiered") {
+            const std::string starved =
+                sub.task.spec.contention.infeasibleReason(
+                    systolic::AcceleratorConfig{});
+            if (!starved.empty()) {
+                error = "camera_mbps/host_mbps: " + starved;
+                return false;
+            }
+        }
     }
     out = std::move(sub);
     return true;

@@ -15,6 +15,8 @@
 #ifndef AUTOPILOT_SYSTOLIC_CONTENTION_H
 #define AUTOPILOT_SYSTOLIC_CONTENTION_H
 
+#include <string>
+
 #include "systolic/config.h"
 
 namespace autopilot::systolic
@@ -58,6 +60,16 @@ struct ContentionProfile
      * QoS floor is outside [0, 1).
      */
     void validate() const;
+
+    /**
+     * Human-readable diagnosis of a profile validate() would reject, or
+     * one that leaves @p config's NPU no DRAM bandwidth (background at
+     * or above the peak with no QoS floor); empty when the derated
+     * channel is usable. The dram::DramSpec::infeasibleReason pattern:
+     * the cycle engine fatals with this text, and admission rejects the
+     * profile with it before any evaluation runs.
+     */
+    std::string infeasibleReason(const AcceleratorConfig &config) const;
 
     bool operator==(const ContentionProfile &other) const = default;
 };

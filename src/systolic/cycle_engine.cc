@@ -1,7 +1,5 @@
 #include "systolic/cycle_engine.h"
 
-#include <sstream>
-
 #include "util/logging.h"
 #include "util/telemetry.h"
 
@@ -19,18 +17,10 @@ CycleEngine::CycleEngine(const AcceleratorConfig &config,
 {
     cfg.validate();
     profile.validate();
+    const std::string starved = profile.infeasibleReason(cfg);
+    if (!starved.empty())
+        util::fatal("CycleEngine: " + starved);
     bandwidthDerate = profile.enabled() ? profile.derate(cfg) : 1.0;
-    if (bandwidthDerate <= 0.0) {
-        std::ostringstream what;
-        what << "CycleEngine: contention profile leaves no DRAM "
-                "bandwidth to the NPU (background "
-             << profile.totalBytesPerSec() << " B/s >= peak "
-             << static_cast<double>(cfg.dramBytesPerCycle) *
-                    cfg.clockGhz * 1e9
-             << " B/s and no QoS floor) - raise npuFloorFraction or "
-                "lower the background load";
-        util::fatal(what.str());
-    }
 }
 
 LayerResult

@@ -2,7 +2,7 @@
  * @file
  * Compiled fold timeline: a layer's fold sequence compiled once, and the
  * one double-buffered prefetch recurrence every fold-level engine runs
- * over it (CycleEngine, dram::DramCycleEngine, traceLayer).
+ * over it (CycleEngine, dram::DramCycleEngine).
  *
  *  - FoldShares hoists computeTraffic() and analyzeResidency() out of the
  *    fold loop and gives each fold's DRAM fetch and writeback bytes in
@@ -138,23 +138,6 @@ struct FoldTimeline
     }
 };
 
-/** One stepped fold, as reported to runFoldTimeline()'s observer. */
-struct FoldStep
-{
-    std::int64_t fold = 0;
-    std::int64_t fetchStart = 0;
-    std::int64_t computeStart = 0;
-    std::int64_t writebackStart = 0; ///< Set only when writebackBytes > 0.
-    std::int64_t fetchBytes = 0;
-    std::int64_t writebackBytes = 0;
-};
-
-/** The default runFoldTimeline() observer: ignores every step. */
-struct IgnoreFoldSteps
-{
-    void operator()(const FoldStep &) const {}
-};
-
 /**
  * Step the double-buffered prefetch timeline (cycle_engine.h) over
  * @p stream, one fold at a time.
@@ -163,12 +146,10 @@ struct IgnoreFoldSteps
  *                 transfer of @p bytes issued at @p start completes. It
  *                 is called for every fold's fetch, and for its
  *                 writeback when that is non-empty, in timeline order.
- * @param observe  Called with each fold's schedule after it is stepped.
  */
-template <typename Transfer, typename Observer = IgnoreFoldSteps>
+template <typename Transfer>
 FoldTimeline
-runFoldTimeline(std::span<const FoldRun> stream, Transfer &&transfer,
-                Observer &&observe = {})
+runFoldTimeline(std::span<const FoldRun> stream, Transfer &&transfer)
 {
     FoldTimeline timeline;
     // The DRAM channel serializes fetches and writebacks; writebacks
@@ -178,29 +159,24 @@ runFoldTimeline(std::span<const FoldRun> stream, Transfer &&transfer,
     std::int64_t fold = 0;
     for (const FoldRun &run : stream) {
         for (std::int64_t n = 0; n < run.count; ++n, ++fold) {
-            FoldStep step;
-            step.fold = fold;
-            step.fetchBytes = run.fetchBytes;
-            step.writebackBytes = run.writebackBytes;
             // Prefetch for fold f may start once the channel is free and
             // the target buffer half is released (fold f-2 retired).
-            step.fetchStart = std::max(dram_free, compute_done_prev);
             const std::int64_t fetch_done =
-                transfer(step.fetchStart, run.fetchBytes, false);
+                transfer(std::max(dram_free, compute_done_prev),
+                         run.fetchBytes, false);
             dram_free = fetch_done;
 
-            step.computeStart = std::max(timeline.computeDone, fetch_done);
+            const std::int64_t compute_start =
+                std::max(timeline.computeDone, fetch_done);
             compute_done_prev = timeline.computeDone;
-            timeline.computeDone = step.computeStart + run.cycles;
+            timeline.computeDone = compute_start + run.cycles;
 
             if (run.writebackBytes > 0) {
-                step.writebackStart =
-                    std::max(dram_free, timeline.computeDone);
                 timeline.lastWritebackDone =
-                    transfer(step.writebackStart, run.writebackBytes, true);
+                    transfer(std::max(dram_free, timeline.computeDone),
+                             run.writebackBytes, true);
                 dram_free = timeline.lastWritebackDone;
             }
-            observe(step);
         }
         timeline.computeBusy += run.count * run.cycles;
     }

@@ -18,21 +18,28 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
 
 #include "airlearning/trainer.h"
+#include "dram/config.h"
 #include "dse/eval_backend.h"
 #include "dse/evaluator.h"
 #include "dse/random_search.h"
+#include "io/persistence.h"
 #include "nn/e2e_template.h"
 #include "power/npu_power.h"
 #include "power/soc_power.h"
+#include "systolic/config.h"
 #include "systolic/engine.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
+namespace dram = autopilot::dram;
 namespace dse = autopilot::dse;
+namespace io = autopilot::io;
 namespace al = autopilot::airlearning;
 namespace nn = autopilot::nn;
 namespace sys = autopilot::systolic;
@@ -528,4 +535,94 @@ TEST(ContentionBackendDeath, StarvedProfileDiagnosedAtEvaluate)
     const auto encodings = distinctEncodings(1, 71);
     EXPECT_EXIT(backend.evaluate(space.decode(encodings[0])),
                 ::testing::ExitedWithCode(1), "no DRAM bandwidth");
+}
+
+// ------------------------------------------------- registry digest pins ----
+
+namespace
+{
+
+struct DigestCase
+{
+    const char *label;
+    const char *backend;
+    double contentionBytesPerSec;
+    bool dramGenerators;
+    std::uint64_t digest;
+};
+
+/**
+ * FNV-1a over the writeDseArchiveRow bytes of one backend's batch over
+ * the randomized hardware corpus: 34 configs (widths cycling int8,
+ * fp16, fp32) x three policies spanning the policy space.
+ */
+std::uint64_t
+archiveDigest(dse::EvalBackend &backend)
+{
+    const std::vector<sys::AcceleratorConfig> corpus =
+        sys::HardwareSpace().sampleCorpus(32, 0x5EED14);
+    const std::vector<nn::PolicyHyperParams> policies =
+        nn::PolicySpace().enumerate();
+    std::vector<dse::DesignPoint> points;
+    for (std::size_t p : {std::size_t{0}, policies.size() / 2,
+                          policies.size() - 1}) {
+        for (std::size_t c = 0; c < corpus.size(); ++c) {
+            dse::DesignPoint point;
+            point.policy = policies[p];
+            point.accel = corpus[c];
+            point.accel.bytesPerElement = 1 << (c % 3);
+            points.push_back(point);
+        }
+    }
+    std::vector<dse::Evaluation> out(points.size());
+    backend.evaluateBatch(points, nullptr,
+                          [&out](std::size_t i, dse::Evaluation &&eval) {
+                              out[i] = std::move(eval);
+                          });
+    std::ostringstream rows;
+    for (const dse::Evaluation &eval : out)
+        io::writeDseArchiveRow(eval, rows);
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const unsigned char byte : rows.str()) {
+        hash ^= byte;
+        hash *= 1099511628211ull;
+    }
+    return hash;
+}
+
+} // namespace
+
+TEST(BackendRegistry, ArchiveDigestsPinnedPerRegistryName)
+{
+    // Every registry name, a derated memory model and a banked one with
+    // generators archive exactly these bytes; the aliases that share an
+    // engine differ only in the backend (and, banked, fidelity/dram)
+    // columns. A change to any cost path shows up here as a new digest.
+    const DigestCase cases[] = {
+        {"analytical", "analytical", 0.0, false,
+         0xd878b8aab38d9bafull},
+        {"quantized", "quantized", 0.0, false,
+         0xfd53bde696a10009ull},
+        {"cycle", "cycle", 0.0, false,
+         0x26b4fc6583175d8dull},
+        {"tiered", "tiered", 0.0, false,
+         0xafc4fdda2166db64ull},
+        {"contention", "contention", 0.0, false,
+         0x607c34923fbe9cf1ull},
+        {"dram", "dram", 0.0, false,
+         0x3cc51e323a84f8fdull},
+        {"contention@3.2GB/s", "contention", 3.2e9, false,
+         0xb6325ff75069d1a1ull},
+        {"dram+generators", "dram", 0.0, true,
+         0x79cd67e0ec552a80ull},
+    };
+    for (const DigestCase &c : cases) {
+        dse::BackendContext context = sharedContext();
+        context.contention.cameraBytesPerSec = c.contentionBytesPerSec;
+        if (c.dramGenerators)
+            context.dram = dram::uavDramSpec(dram::DramTiming{}, 400e6,
+                                             200e6);
+        const auto backend = dse::makeBackend(c.backend, context);
+        EXPECT_EQ(archiveDigest(*backend), c.digest) << c.label;
+    }
 }

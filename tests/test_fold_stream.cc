@@ -482,19 +482,3 @@ TEST(FoldTimeline, RandomStreamsMatchStepping)
         EXPECT_EQ(reference.steppedFolds, foldCount(stream));
     }
 }
-
-TEST(FoldTimeline, ObserverSeesEveryFoldInOrder)
-{
-    const std::vector<sys::FoldRun> stream = {
-        {3, 100, 0, 10}, {2, 0, 50, 4}, {1, 64, 64, 8}};
-    std::vector<std::int64_t> seen;
-    std::int64_t writebacks = 0;
-    sys::runFoldTimeline(stream, sys::BandwidthTransfer(16),
-                         [&](const sys::FoldStep &step) {
-                             seen.push_back(step.fold);
-                             EXPECT_GE(step.computeStart, step.fetchStart);
-                             writebacks += step.writebackBytes;
-                         });
-    EXPECT_EQ(seen, (std::vector<std::int64_t>{0, 1, 2, 3, 4, 5}));
-    EXPECT_EQ(writebacks, 2 * 50 + 64);
-}

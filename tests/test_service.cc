@@ -171,6 +171,12 @@ TEST(Submission, RejectsBadDocumentsWithDiagnostics)
          R"({"backend": "dram", "camera_mbps": 100,)"
          R"( "dram_timing": "4:4:4:10:36"})",
          "infeasible"},
+        // A background load that starves the derated channel would
+        // fatal mid-campaign; it is diagnosed at submission time.
+        {"x", R"({"backend": "contention", "camera_mbps": 1e9})",
+         "contention profile"},
+        {"x", R"({"backend": "tiered", "camera_mbps": 7000})",
+         "contention profile"},
         {"x", R"({"tenant": "has space"})", "tenant"},
         {"bad/id", "{}", "id"}, // Path-hostile campaign id.
         {"", "{}", "id"},
@@ -371,6 +377,37 @@ TEST(Service, InboxToResultRoundTripWithRejects)
                                          "good-a.result");
     EXPECT_NE(result.find("1/1 tasks succeeded"), std::string::npos)
         << result;
+}
+
+TEST(Service, StarvedContentionTenantRejectedBesideHealthyOne)
+{
+    // The poison profile used to be admitted and then exit the whole
+    // daemon from a pool worker, killing the co-running campaign.
+    const fs::path root = testDir("poison");
+    runner::ServiceConfig config = fastConfig(root);
+    config.maxActiveCampaigns = 2;
+    config.maxCampaigns = 1;
+    runner::CampaignService service(config);
+
+    submit(root, "poison",
+           R"({"tenant": "mallory", "backend": "contention",)"
+           R"( "camera_mbps": 1e9})");
+    submit(root, "healthy", kSmallSubmission);
+
+    const runner::ServiceReport report = service.serve();
+    EXPECT_EQ(report.admitted, 1u);
+    EXPECT_EQ(report.completed, 1u);
+    EXPECT_EQ(report.failed, 0u);
+    EXPECT_EQ(report.rejected, 1u);
+
+    EXPECT_TRUE(fs::exists(root / "results" / "healthy.result"));
+    EXPECT_TRUE(fs::exists(root / "done" / "poison.rejected"));
+    EXPECT_FALSE(fs::exists(root / "results" / "poison.result"));
+    EXPECT_TRUE(fs::is_empty(root / "active"));
+    EXPECT_EQ(statusField(root, "poison", "state"), "rejected");
+    EXPECT_NE(statusField(root, "poison", "detail")
+                  .find("contention profile"),
+              std::string::npos);
 }
 
 TEST(Service, FairShareAdmissionRotatesAcrossTenants)

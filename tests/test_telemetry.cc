@@ -395,6 +395,43 @@ TEST_F(TelemetryTest, EvaluatorCountersMatchCacheStats)
     EXPECT_LE(simulate_samples, stats.misses);
 }
 
+TEST_F(TelemetryTest, EvaluatorCountsBackendAndPrecisionPoints)
+{
+    util::Telemetry &telemetry = util::Telemetry::instance();
+    telemetry.setEnabled(true);
+    const std::vector<dse::Encoding> encodings = distinctEncodings(12, 11);
+
+    // Single-precision axis: only the per-backend counter, whichever
+    // backend serves the batch.
+    dse::DseEvaluator single(sharedDatabase(), al::ObstacleDensity::Dense,
+                             "quantized");
+    single.evaluateBatch(encodings);
+    single.evaluateBatch(encodings); // All hits: nothing reaches the backend.
+    EXPECT_EQ(telemetry.metrics().find("dse.backend.quantized.points").count,
+              12u);
+    EXPECT_EQ(telemetry.metrics().find("dse.quantized.int8.points").count,
+              0u);
+
+    // Searchable axis: one counter per operand width, for any backend.
+    dse::DseEvaluator widened(sharedDatabase(), al::ObstacleDensity::Dense,
+                              "analytical", {}, {}, {1, 2, 4});
+    std::vector<dse::Encoding> labelled = encodings;
+    for (std::size_t i = 0; i < labelled.size(); ++i)
+        labelled[i][dse::precisionDim] = static_cast<int>(i % 3);
+    widened.evaluateBatch(labelled);
+    EXPECT_EQ(
+        telemetry.metrics().find("dse.backend.analytical.points").count,
+        12u);
+    for (const char *label : {"int8", "fp16", "fp32"}) {
+        EXPECT_EQ(telemetry.metrics()
+                      .find(std::string("dse.quantized.") + label +
+                            ".points")
+                      .count,
+                  4u)
+            << label;
+    }
+}
+
 TEST_F(TelemetryTest, PipelineRunEmitsPhaseAndSimulateSpans)
 {
     core::TaskSpec task;
