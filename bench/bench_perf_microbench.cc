@@ -1,11 +1,11 @@
 /**
  * @file
  * google-benchmark microbenchmarks for the library's hot paths: the two
- * systolic engines (and one cycle-engine layer's per-fold cost), the GP
- * surrogate, hypervolume, one SMS-EGO iteration
- * (GP fit, acquisition screen, hypervolume update), episode rollouts, and
- * the batch-parallel evaluation core at 1/2/4/8 worker threads. These
- * quantify the cost of one Phase 2 evaluation and one Phase 1 validation
+ * systolic engines (and one layer each through the cycle engine and the
+ * bank-level dram tier), the GP surrogate, hypervolume, one SMS-EGO
+ * iteration (GP fit, acquisition screen, hypervolume update), episode
+ * rollouts, and the batch-parallel evaluation core at 1/2/4/8 worker
+ * threads. These quantify the cost of one Phase 2 evaluation and one Phase 1 validation
  * - the quantities that set AutoPilot's end-to-end runtime - and the
  * wall-clock speedup evaluateBatch() buys on a cold memo cache.
  */
@@ -22,6 +22,8 @@
 
 #include "airlearning/rollout.h"
 #include "airlearning/trainer.h"
+#include "dram/config.h"
+#include "dram/engine.h"
 #include "dse/eval_backend.h"
 #include "dse/evaluator.h"
 #include "dse/gaussian_process.h"
@@ -163,6 +165,57 @@ BENCHMARK_CAPTURE(BM_CycleRunLayer, fc_trunk_stepping, "fc_trunk", true)
 BENCHMARK_CAPTURE(BM_CycleRunLayer, conv2_jump, "conv2", false)
     ->Unit(benchmark::kMicrosecond);
 BENCHMARK_CAPTURE(BM_CycleRunLayer, conv2_stepping, "conv2", true)
+    ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The same two layers and 16x16 array through the bank-level dram tier
+ * (DramCycleEngine::runLayer) under the UAV channel: a 400 MB/s linear
+ * camera stream and a 200 MB/s random host stream, open- or closed-row.
+ * bursts_per_s counts every channel burst (NPU and background) per
+ * second.
+ */
+void
+BM_DramRunLayer(benchmark::State &state, const char *layer_name,
+                dram::RowPolicy policy)
+{
+    const nn::Model model = nn::buildE2EModel({5, 48});
+    const nn::Layer *layer = nullptr;
+    for (const nn::Layer &candidate : model.layers()) {
+        if (candidate.name == layer_name)
+            layer = &candidate;
+    }
+    if (layer == nullptr) {
+        state.SkipWithError("layer not in the 5L/48F model");
+        return;
+    }
+    systolic::AcceleratorConfig config;
+    config.peRows = 16;
+    config.peCols = 16;
+    dram::DramTiming timing;
+    timing.rowPolicy = policy;
+    const dram::DramCycleEngine engine(
+        config, dram::uavDramSpec(timing, 400e6, 200e6));
+    benchmark::DoNotOptimize(engine.runLayer(*layer));
+    const std::int64_t bursts = engine.runStats().accesses();
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(engine.runLayer(*layer));
+    }
+    state.counters["bursts_per_s"] = benchmark::Counter(
+        static_cast<double>(bursts) *
+            static_cast<double>(state.iterations()),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK_CAPTURE(BM_DramRunLayer, fc_trunk_open, "fc_trunk",
+                  dram::RowPolicy::Open)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DramRunLayer, fc_trunk_closed, "fc_trunk",
+                  dram::RowPolicy::Closed)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DramRunLayer, conv2_open, "conv2",
+                  dram::RowPolicy::Open)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_DramRunLayer, conv2_closed, "conv2",
+                  dram::RowPolicy::Closed)
     ->Unit(benchmark::kMicrosecond);
 
 void

@@ -1,5 +1,7 @@
 #include "dram/bank_model.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace autopilot::dram
@@ -56,9 +58,11 @@ BankModel::service(std::int64_t addr, std::int64_t bytes,
         nextRefresh += timing.tRefiCycles;
     }
 
-    const std::size_t bank = static_cast<std::size_t>(
-        (addr / timing.rowBytes) % timing.banks);
-    const std::int64_t row = addr / (timing.rowBytes * timing.banks);
+    // floor(floor(a / R) / B) == floor(a / (R * B)) for a >= 0.
+    const std::int64_t rowIndex = addr / timing.rowBytes;
+    const std::size_t bank =
+        static_cast<std::size_t>(rowIndex % timing.banks);
+    const std::int64_t row = rowIndex / timing.banks;
 
     std::int64_t latency = timing.tCasCycles;
     if (openRow[bank] == row) {
@@ -83,6 +87,47 @@ BankModel::service(std::int64_t addr, std::int64_t bytes,
     const std::int64_t transfer =
         (bytes + bytesPerCycle - 1) / bytesPerCycle;
     return start + latency + transfer;
+}
+
+std::int64_t
+BankModel::serviceRun(std::int64_t addr, std::int64_t maxBursts,
+                      std::int64_t &cycle, std::int64_t bytesPerCycle,
+                      ChannelStats &stats)
+{
+    if (maxBursts <= 0 || cycle >= nextRefresh)
+        return 0;
+    const std::int64_t burst = timing.burstBytes;
+    std::int64_t latency = timing.tCasCycles;
+    std::int64_t bursts = maxBursts;
+    if (timing.rowPolicy == RowPolicy::Open) {
+        // Hits only: the burst must start in its bank's open row, and
+        // so must every later burst that starts in the same row.
+        const std::int64_t rowIndex = addr / timing.rowBytes;
+        const std::size_t bank =
+            static_cast<std::size_t>(rowIndex % timing.banks);
+        if (openRow[bank] != rowIndex / timing.banks)
+            return 0;
+        const std::int64_t rowEnd = (rowIndex + 1) * timing.rowBytes;
+        bursts = std::min(bursts, (rowEnd - addr + burst - 1) / burst);
+    } else {
+        // Closed: every row is precharged, so every burst is a miss.
+        latency += timing.tRcdCycles;
+    }
+    const std::int64_t cost =
+        latency + (burst + bytesPerCycle - 1) / bytesPerCycle;
+    // Burst k starts at cycle + k * cost and must start before the
+    // refresh deadline.
+    bursts = std::min(bursts, (nextRefresh - cycle + cost - 1) / cost);
+
+    if (timing.rowPolicy == RowPolicy::Open) {
+        stats.rowHits += bursts;
+    } else {
+        stats.rowMisses += bursts;
+        stats.activates += bursts;
+        stats.precharges += bursts;
+    }
+    cycle += bursts * cost;
+    return bursts;
 }
 
 } // namespace autopilot::dram

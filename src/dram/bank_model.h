@@ -99,6 +99,23 @@ class BankModel
                          std::int64_t start, std::int64_t bytesPerCycle,
                          ChannelStats &stats);
 
+    /**
+     * Service, back to back from cycle @p cycle, up to @p maxBursts full
+     * bursts at @p addr, addr + burstBytes, ... in closed form, exactly
+     * as that many service() calls would. The run holds only while every
+     * burst classifies alike and no refresh falls due: under the Open
+     * policy each burst must start in a row that is already open (a
+     * hit), under Closed each burst is a miss, and every burst must
+     * start before the next refresh deadline. Advances @p cycle to the
+     * last burst's completion and returns the bursts serviced (0 when
+     * the first burst is a row head or a refresh crossing - service()
+     * handles those).
+     */
+    std::int64_t serviceRun(std::int64_t addr, std::int64_t maxBursts,
+                            std::int64_t &cycle,
+                            std::int64_t bytesPerCycle,
+                            ChannelStats &stats);
+
   private:
     DramTiming timing;
     std::vector<std::int64_t> openRow; ///< Per bank; -1 = precharged.

@@ -1,5 +1,6 @@
 #include "dram/channel.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 
@@ -144,33 +145,42 @@ ChannelTimeline::transfer(std::int64_t earliestStart, std::int64_t bytes,
     if (bytes <= 0)
         return earliestStart;
 
+    // Strict arrival order: background requests that arrived no later
+    // than this transfer go first (fixed priority on ties). Each service
+    // advances that generator's next arrival, so the backlog drains in
+    // bounded steps and the NPU never starves. A generator's arrival
+    // moves only when it is serviced, so once the NPU wins the channel
+    // no background request can overtake it until the transfer ends.
+    const double npuArrival = static_cast<double>(earliestStart);
+    for (GeneratorState *front = earliestGenerator();
+         front != nullptr && front->nextArrival <= npuArrival;
+         front = earliestGenerator())
+        serviceGenerator(*front);
+
+    // The rest is the NPU's own back-to-back burst train: same-row hits
+    // (or, closed-row, all misses) up to the next refresh advance in
+    // closed form; each row head, partial tail and refresh crossing is
+    // one service() call.
     std::int64_t remaining = bytes;
-    std::int64_t done = earliestStart;
+    std::int64_t done = std::max(channelFree, earliestStart);
     std::int64_t &npuAddr = write ? npuWriteAddr : npuReadAddr;
     const std::int64_t burstBytes = spec_.timing.burstBytes;
-    const double npuArrival = static_cast<double>(earliestStart);
-
     while (remaining > 0) {
-        // Strict arrival order: background requests that arrived no
-        // later than this transfer go first (fixed priority on ties).
-        // Each service advances that generator's next arrival, so the
-        // backlog drains in bounded steps and the NPU never starves.
-        GeneratorState *front = earliestGenerator();
-        if (front != nullptr && front->nextArrival <= npuArrival) {
-            serviceGenerator(*front);
-            continue;
+        std::int64_t bursts = banks.serviceRun(
+            npuAddr, remaining / burstBytes, done, bytesPerCycle, stats_);
+        std::int64_t moved = bursts * burstBytes;
+        if (bursts == 0) {
+            moved = std::min(remaining, burstBytes);
+            done = banks.service(npuAddr, moved, done, bytesPerCycle,
+                                 stats_);
+            bursts = 1;
         }
-
-        const std::int64_t burst = std::min(remaining, burstBytes);
-        const std::int64_t start = std::max(channelFree, earliestStart);
-        done = banks.service(npuAddr, burst, start, bytesPerCycle,
-                             stats_);
-        channelFree = done;
-        npuAddr += burst;
-        remaining -= burst;
-        ++stats_.npuRequests;
-        stats_.npuBytes += burst;
+        npuAddr += moved;
+        remaining -= moved;
+        stats_.npuRequests += bursts;
+        stats_.npuBytes += moved;
     }
+    channelFree = done;
     return done;
 }
 

@@ -17,6 +17,16 @@
  * instead of accumulating an unbounded backlog, so an overloaded spec
  * costs simulated cycles, never unbounded simulation work.
  *
+ * A generator's next arrival moves only when that generator is
+ * serviced, so once an NPU transfer's first burst wins the channel no
+ * background request can overtake the rest of the transfer. Its bursts
+ * then walk consecutive addresses back to back, and each run of bursts
+ * that classify alike (same-row hits under the open-row policy, misses
+ * under closed-row) before the next refresh is serviced in closed form
+ * by BankModel::serviceRun; only row heads, partial tails, refresh
+ * crossings and background bursts go through BankModel::service one at
+ * a time. Completions and stats equal the per-burst channel's exactly.
+ *
  * Everything is integer/fixed-seed arithmetic on one thread; two
  * timelines built from the same spec and fed the same transfer sequence
  * produce bit-identical completions and stats, which is what makes the
@@ -53,8 +63,9 @@ class ChannelTimeline
     /**
      * Service one NPU transfer of @p bytes arriving at @p earliestStart,
      * split into burst-sized channel requests; background requests that
-     * arrived earlier win the channel first. Returns the completion
-     * cycle of the last burst (== @p earliestStart when bytes == 0).
+     * arrived earlier win the channel first, and same-row burst runs are
+     * serviced in closed form. Returns the completion cycle of the last
+     * burst (== @p earliestStart when bytes == 0).
      */
     std::int64_t transfer(std::int64_t earliestStart, std::int64_t bytes,
                           bool write);

@@ -37,9 +37,10 @@ DramCycleEngine::runLayer(const nn::Layer &layer) const
     // state reset so layers are independent of simulation order.
     ChannelTimeline channel(dramSpec, cfg);
 
-    // Same fold timeline as CycleEngine, stepped fold by fold: a
+    // Same fold timeline as CycleEngine, one transfer per fold: a
     // transfer's completion depends on the channel's state when it is
-    // issued, so there is no steady state to jump over.
+    // issued, so there is no steady state to jump over. Within a
+    // transfer the channel services same-row burst runs in closed form.
     const systolic::FoldTimeline timeline = systolic::runFoldTimeline(
         stream.runs(),
         [&channel](std::int64_t start, std::int64_t bytes, bool is_write) {

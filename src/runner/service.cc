@@ -16,6 +16,7 @@
 #include "io/json.h"
 #include "io/persistence.h"
 #include "systolic/config.h"
+#include "systolic/contention.h"
 #include "uav/uav_spec.h"
 #include "util/logging.h"
 #include "util/telemetry.h"
@@ -350,6 +351,18 @@ parseSubmission(const std::string &id, const std::string &text,
         sub.task.spec.missionMix.scenarios = {scenario};
     }
 
+    // Rates arrive in MB/s, so a finite rate can still overflow to inf
+    // in bytes/s. AutoPilot's ContentionProfile::validate() would then
+    // fatal on a pool worker whatever the backend; diagnose it here.
+    systolic::ContentionProfile rates;
+    rates.cameraBytesPerSec = cameraMbps * 1e6;
+    rates.hostBytesPerSec = hostMbps * 1e6;
+    const std::string badRate = rates.rateReason();
+    if (!badRate.empty()) {
+        error = "camera_mbps/host_mbps: " + badRate;
+        return false;
+    }
+
     // Bank-level simulation is active for the "dram" backend (or for
     // "tiered" when a dram_* key opts the verify tier in). The same
     // camera/host rates then shape traffic generators instead of the
@@ -364,16 +377,17 @@ parseSubmission(const std::string &id, const std::string &text,
     }
     if (wantsDram) {
         sub.task.spec.dram =
-            dram::uavDramSpec(dramTiming, cameraMbps * 1e6,
-                              hostMbps * 1e6);
+            dram::uavDramSpec(dramTiming, rates.cameraBytesPerSec,
+                              rates.hostBytesPerSec);
         std::string dramError = sub.task.spec.dram.infeasibleReason();
         if (!dramError.empty()) {
             error = "infeasible dram channel: " + dramError;
             return false;
         }
     } else {
-        sub.task.spec.contention.cameraBytesPerSec = cameraMbps * 1e6;
-        sub.task.spec.contention.hostBytesPerSec = hostMbps * 1e6;
+        sub.task.spec.contention.cameraBytesPerSec =
+            rates.cameraBytesPerSec;
+        sub.task.spec.contention.hostBytesPerSec = rates.hostBytesPerSec;
         // The derated backends ("contention", and "tiered" without
         // dram_* keys) would fatal mid-campaign on a profile that
         // starves the channel, taking every co-running tenant down. The

@@ -12,23 +12,6 @@ namespace autopilot::systolic
 namespace
 {
 
-/// The configuration-independent checks: rates and the QoS floor.
-std::string
-rateReason(const ContentionProfile &profile)
-{
-    // !(x >= 0) instead of x < 0: NaN rates must not slip through.
-    if (!(profile.cameraBytesPerSec >= 0.0) ||
-        !std::isfinite(profile.cameraBytesPerSec))
-        return "camera rate must be finite and >= 0";
-    if (!(profile.hostBytesPerSec >= 0.0) ||
-        !std::isfinite(profile.hostBytesPerSec))
-        return "host rate must be finite and >= 0";
-    if (!(profile.npuFloorFraction >= 0.0) ||
-        profile.npuFloorFraction >= 1.0)
-        return "QoS floor outside [0, 1)";
-    return {};
-}
-
 double
 peakBytesPerSec(const AcceleratorConfig &config)
 {
@@ -45,10 +28,23 @@ ContentionProfile::derate(const AcceleratorConfig &config) const
     return std::max(share, npuFloorFraction);
 }
 
+std::string
+ContentionProfile::rateReason() const
+{
+    // !(x >= 0) instead of x < 0: NaN rates must not slip through.
+    if (!(cameraBytesPerSec >= 0.0) || !std::isfinite(cameraBytesPerSec))
+        return "camera rate must be finite and >= 0";
+    if (!(hostBytesPerSec >= 0.0) || !std::isfinite(hostBytesPerSec))
+        return "host rate must be finite and >= 0";
+    if (!(npuFloorFraction >= 0.0) || npuFloorFraction >= 1.0)
+        return "QoS floor outside [0, 1)";
+    return {};
+}
+
 void
 ContentionProfile::validate() const
 {
-    const std::string reason = rateReason(*this);
+    const std::string reason = rateReason();
     if (!reason.empty())
         util::fatal("ContentionProfile: " + reason);
 }
@@ -56,7 +52,7 @@ ContentionProfile::validate() const
 std::string
 ContentionProfile::infeasibleReason(const AcceleratorConfig &config) const
 {
-    std::string reason = rateReason(*this);
+    std::string reason = rateReason();
     if (!reason.empty() || !enabled() || derate(config) > 0.0)
         return reason;
     std::ostringstream what;

@@ -56,9 +56,12 @@ struct ContentionProfile
     double derate(const AcceleratorConfig &config) const;
 
     /**
-     * Abort via fatal() when any rate is negative or non-finite, or the
-     * QoS floor is outside [0, 1).
+     * Diagnosis of a negative or non-finite rate, or a QoS floor outside
+     * [0, 1); empty when all three are in range.
      */
+    std::string rateReason() const;
+
+    /** Abort via fatal() with rateReason() when it is non-empty. */
     void validate() const;
 
     /**

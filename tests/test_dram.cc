@@ -19,10 +19,18 @@
  *    worker-thread counts, alone and as the tiered verify tier.
  *  - Degenerate parameter sets are diagnosed in words (fatal with
  *    infeasibleReason), never simulated into NaN or infinite latency.
+ *  - The burst-run ChannelTimeline equals the per-burst channel it
+ *    replaced (kept here verbatim as an oracle) on every transfer
+ *    completion and every ChannelStats field: over the fold timelines
+ *    of a hardware-space corpus x every policy model under open, closed,
+ *    saturated, refresh-cut and rounding-width channels, and on
+ *    hand-built edge transfers.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <memory>
 #include <set>
 #include <string>
@@ -38,6 +46,7 @@
 #include "nn/e2e_template.h"
 #include "power/dram_model.h"
 #include "systolic/cycle_engine.h"
+#include "systolic/fold_stream.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
 
@@ -119,6 +128,276 @@ oneStreamSpec(double bytesPerSec, double randomness,
     spec.generators = {generator};
     return spec;
 }
+
+/**
+ * The per-burst channel the burst-run ChannelTimeline replaced, kept
+ * verbatim as an oracle: BankModel::service, the generator setup of the
+ * ChannelTimeline constructor, serviceGenerator and transfer, each one
+ * burst at a time.
+ */
+class PerBurstBankModel
+{
+  public:
+    explicit PerBurstBankModel(const dram::DramTiming &config)
+        : timing(config),
+          openRow(static_cast<std::size_t>(config.banks), -1),
+          nextRefresh(config.tRefiCycles)
+    {
+    }
+
+    std::int64_t service(std::int64_t addr, std::int64_t bytes,
+                         std::int64_t start, std::int64_t bytesPerCycle,
+                         dram::ChannelStats &stats)
+    {
+        // Refresh is all-bank: catch up on every interval boundary the
+        // channel slept through, close the rows, and push the request past
+        // the stall when it lands inside one.
+        while (start >= nextRefresh) {
+            const std::int64_t stallEnd = nextRefresh + timing.tRfcCycles;
+            for (std::int64_t &row : openRow)
+                row = -1;
+            ++stats.refreshes;
+            if (start < stallEnd)
+                start = stallEnd;
+            nextRefresh += timing.tRefiCycles;
+        }
+
+        const std::size_t bank = static_cast<std::size_t>(
+            (addr / timing.rowBytes) % timing.banks);
+        const std::int64_t row = addr / (timing.rowBytes * timing.banks);
+
+        std::int64_t latency = timing.tCasCycles;
+        if (openRow[bank] == row) {
+            ++stats.rowHits;
+        } else if (openRow[bank] < 0) {
+            ++stats.rowMisses;
+            ++stats.activates;
+            latency += timing.tRcdCycles;
+        } else {
+            ++stats.rowConflicts;
+            ++stats.activates;
+            ++stats.precharges;
+            latency += timing.tRpCycles + timing.tRcdCycles;
+        }
+        if (timing.rowPolicy == dram::RowPolicy::Open) {
+            openRow[bank] = row;
+        } else {
+            openRow[bank] = -1; // Auto-precharge: the next access misses.
+            ++stats.precharges;
+        }
+
+        const std::int64_t transfer =
+            (bytes + bytesPerCycle - 1) / bytesPerCycle;
+        return start + latency + transfer;
+    }
+
+  private:
+    dram::DramTiming timing;
+    std::vector<std::int64_t> openRow;
+    std::int64_t nextRefresh;
+};
+
+class PerBurstChannel
+{
+  public:
+    PerBurstChannel(const dram::DramSpec &spec,
+                    const sys::AcceleratorConfig &config)
+        : spec_(spec), bytesPerCycle(config.dramBytesPerCycle),
+          banks(spec.timing)
+    {
+        const double cyclesPerSec = config.clockGhz * 1e9;
+        for (const dram::TrafficGeneratorSpec &generator :
+             spec_.generators) {
+            if (generator.bytesPerSec <= 0.0)
+                continue; // Inert stream: injects nothing.
+            GeneratorState state;
+            state.spec = generator;
+            state.interArrivalCycles =
+                static_cast<double>(spec_.timing.burstBytes) *
+                cyclesPerSec / generator.bytesPerSec;
+            state.nextArrival = state.interArrivalCycles;
+            state.rng = generator.seed;
+            state.statsIndex = stats_.generators.size();
+            stats_.generators.push_back({generator.name, 0, 0});
+            generators.push_back(std::move(state));
+        }
+    }
+
+    std::int64_t transfer(std::int64_t earliestStart, std::int64_t bytes,
+                          bool write)
+    {
+        if (bytes <= 0)
+            return earliestStart;
+
+        std::int64_t remaining = bytes;
+        std::int64_t done = earliestStart;
+        std::int64_t &npuAddr = write ? npuWriteAddr : npuReadAddr;
+        const std::int64_t burstBytes = spec_.timing.burstBytes;
+        const double npuArrival = static_cast<double>(earliestStart);
+
+        while (remaining > 0) {
+            // Strict arrival order: background requests that arrived no
+            // later than this transfer go first (fixed priority on ties).
+            // Each service advances that generator's next arrival, so the
+            // backlog drains in bounded steps and the NPU never starves.
+            GeneratorState *front = earliestGenerator();
+            if (front != nullptr && front->nextArrival <= npuArrival) {
+                serviceGenerator(*front);
+                continue;
+            }
+
+            const std::int64_t burst = std::min(remaining, burstBytes);
+            const std::int64_t start = std::max(channelFree, earliestStart);
+            done = banks.service(npuAddr, burst, start, bytesPerCycle,
+                                 stats_);
+            channelFree = done;
+            npuAddr += burst;
+            remaining -= burst;
+            ++stats_.npuRequests;
+            stats_.npuBytes += burst;
+        }
+        return done;
+    }
+
+    const dram::ChannelStats &stats() const { return stats_; }
+
+  private:
+    struct GeneratorState
+    {
+        dram::TrafficGeneratorSpec spec;
+        double interArrivalCycles = 0.0;
+        double nextArrival = 0.0;
+        std::int64_t offset = 0; ///< Linear walk position in the window.
+        std::uint64_t rng = 0;
+        std::size_t statsIndex = 0;
+    };
+
+    static std::uint64_t lcgNext(std::uint64_t state)
+    {
+        return state * 6364136223846793005ULL + 1442695040888963407ULL;
+    }
+
+    static double lcgUniform(std::uint64_t state)
+    {
+        return static_cast<double>(state >> 11) * 0x1.0p-53;
+    }
+
+    static constexpr double kSourceFifoBursts = 8.0;
+
+    GeneratorState *earliestGenerator()
+    {
+        GeneratorState *best = nullptr;
+        for (GeneratorState &candidate : generators) {
+            if (best == nullptr ||
+                candidate.nextArrival < best->nextArrival)
+                best = &candidate;
+        }
+        return best;
+    }
+
+    void serviceGenerator(GeneratorState &generator)
+    {
+        const dram::TrafficGeneratorSpec &gen = generator.spec;
+        const std::int64_t burst = spec_.timing.burstBytes;
+
+        if (gen.randomness > 0.0) {
+            generator.rng = lcgNext(generator.rng);
+            if (lcgUniform(generator.rng) < gen.randomness) {
+                // Jump to a random burst-aligned slot; the stream then
+                // continues linearly from there until the next jump.
+                generator.rng = lcgNext(generator.rng);
+                const std::uint64_t slots = static_cast<std::uint64_t>(
+                    gen.addressRange / burst);
+                generator.offset = static_cast<std::int64_t>(
+                    (generator.rng >> 11) % slots) * burst;
+            }
+        }
+        const std::int64_t addr =
+            gen.addressBase + generator.offset % gen.addressRange;
+        generator.offset += gen.strideBytes;
+
+        const std::int64_t arrival = static_cast<std::int64_t>(
+            std::ceil(generator.nextArrival));
+        const std::int64_t start = std::max(channelFree, arrival);
+        channelFree = banks.service(addr, burst, start, bytesPerCycle,
+                                    stats_);
+        generator.nextArrival += generator.interArrivalCycles;
+        // Backpressure: the source cannot run more than one FIFO's worth
+        // of bursts behind the channel. A saturated stream is throttled
+        // to its service rate; an unsaturated one never hits the floor.
+        const double fifoFloor =
+            static_cast<double>(channelFree) -
+            kSourceFifoBursts * generator.interArrivalCycles;
+        if (generator.nextArrival < fifoFloor)
+            generator.nextArrival = fifoFloor;
+
+        ++stats_.backgroundRequests;
+        stats_.backgroundBytes += burst;
+        dram::GeneratorStats &slice =
+            stats_.generators[generator.statsIndex];
+        ++slice.requests;
+        slice.bytes += burst;
+    }
+
+    dram::DramSpec spec_;
+    std::int64_t bytesPerCycle;
+    PerBurstBankModel banks;
+    std::int64_t channelFree = 0;
+    std::int64_t npuReadAddr = 0;
+    std::int64_t npuWriteAddr = 1ll << 28;
+    std::vector<GeneratorState> generators;
+    dram::ChannelStats stats_;
+};
+
+/** Every ChannelStats field, generator slices included. */
+bool
+sameStats(const dram::ChannelStats &a, const dram::ChannelStats &b)
+{
+    if (a.generators.size() != b.generators.size())
+        return false;
+    for (std::size_t g = 0; g < a.generators.size(); ++g) {
+        if (a.generators[g].name != b.generators[g].name ||
+            a.generators[g].requests != b.generators[g].requests ||
+            a.generators[g].bytes != b.generators[g].bytes)
+            return false;
+    }
+    return a.rowHits == b.rowHits && a.rowMisses == b.rowMisses &&
+           a.rowConflicts == b.rowConflicts &&
+           a.activates == b.activates && a.precharges == b.precharges &&
+           a.refreshes == b.refreshes && a.npuRequests == b.npuRequests &&
+           a.npuBytes == b.npuBytes &&
+           a.backgroundRequests == b.backgroundRequests &&
+           a.backgroundBytes == b.backgroundBytes;
+}
+
+/** The burst-run channel and its per-burst oracle, fed in lockstep. */
+struct ChannelPair
+{
+    ChannelPair(const dram::DramSpec &spec,
+                const sys::AcceleratorConfig &config)
+        : fast(spec, config), reference(spec, config)
+    {
+    }
+
+    /// fast's completion; clears `same` on any divergence.
+    std::int64_t transfer(std::int64_t start, std::int64_t bytes,
+                          bool write)
+    {
+        const std::int64_t done = fast.transfer(start, bytes, write);
+        if (reference.transfer(start, bytes, write) != done)
+            same = false;
+        return done;
+    }
+
+    bool matches() const
+    {
+        return same && sameStats(fast.stats(), reference.stats());
+    }
+
+    dram::ChannelTimeline fast;
+    PerBurstChannel reference;
+    bool same = true;
+};
 
 } // namespace
 
@@ -424,6 +703,165 @@ TEST(ChannelTimeline, RebuildReplaysBitIdentically)
     EXPECT_EQ(aStats.rowHits, bStats.rowHits);
     EXPECT_EQ(aStats.rowConflicts, bStats.rowConflicts);
     EXPECT_EQ(aStats.backgroundBytes, bStats.backgroundBytes);
+}
+
+// ------------------------------------ burst runs vs per-burst channel ----
+
+namespace
+{
+
+struct ChannelCase
+{
+    const char *name;
+    dram::DramSpec spec;
+    int dramBytesPerCycle;
+};
+
+/** The channel shapes the differential tests cover. */
+std::vector<ChannelCase>
+channelCases()
+{
+    dram::DramTiming closed;
+    closed.rowPolicy = dram::RowPolicy::Closed;
+    // Refresh every 400 cycles: open-row runs (32 bursts of 6 cycles)
+    // and closed-row runs are cut by refresh again and again.
+    dram::DramTiming shortRefresh = labTiming();
+    shortRefresh.tRefiCycles = 400;
+    return {
+        {"uav-open", dram::uavDramSpec(dram::DramTiming{}, 400e6, 200e6),
+         32},
+        {"uav-closed", dram::uavDramSpec(closed, 400e6, 200e6), 32},
+        // Beyond what the channel can serve: FIFO backpressure.
+        {"saturated", dram::uavDramSpec(dram::DramTiming{}, 2e9, 1e9), 32},
+        {"lab-short-refresh", dram::uavDramSpec(shortRefresh, 400e6, 200e6),
+         32},
+        // ceil(64 / 24) = 3: the burst transfer time rounds up.
+        {"uav-open-24B", dram::uavDramSpec(dram::DramTiming{}, 400e6, 200e6),
+         24},
+    };
+}
+
+} // namespace
+
+TEST(ChannelTimeline, BurstRunsMatchPerBurstChannelOnFoldTimelines)
+{
+    // sampleCorpus appends the space's two corners. The smallest one
+    // (8x8 PEs, 32 KB buffers) spends most of its channel time on
+    // background bursts, which both channels serve through the same
+    // per-burst path; leaving it out keeps the test quick under the
+    // sanitizers.
+    std::vector<sys::AcceleratorConfig> configs =
+        sys::HardwareSpace().sampleCorpus(4, 0xD1FF15u);
+    configs.erase(configs.end() - 2);
+    std::vector<nn::Model> models;
+    for (const nn::PolicyHyperParams &policy :
+         nn::PolicySpace().enumerate())
+        models.push_back(nn::buildE2EModel(policy));
+
+    std::int64_t layers = 0;
+    for (const ChannelCase &channel : channelCases()) {
+        for (sys::AcceleratorConfig config : configs) {
+            config.dramBytesPerCycle = channel.dramBytesPerCycle;
+            for (std::size_t m = 0; m < models.size(); m += 7) {
+                for (const nn::Layer &layer : models[m].layers()) {
+                    const sys::FoldStream stream(layer, config);
+                    ChannelPair pair(channel.spec, config);
+                    sys::runFoldTimeline(
+                        stream.runs(),
+                        [&pair](std::int64_t start, std::int64_t bytes,
+                                bool is_write) {
+                            return pair.transfer(start, bytes, is_write);
+                        });
+                    ++layers;
+                    if (!pair.matches()) {
+                        ADD_FAILURE() << channel.name << ": "
+                                      << models[m].name() << "/"
+                                      << layer.name << " @ "
+                                      << config.name();
+                        return;
+                    }
+                }
+            }
+        }
+    }
+    EXPECT_GT(layers, 500);
+}
+
+TEST(ChannelTimeline, BurstRunsMatchPerBurstChannelOnEdgeTransfers)
+{
+    // labTiming, refresh every 60 cycles, no background traffic: a
+    // 64-byte burst costs 2 transfer cycles, so a row miss takes 10
+    // cycles and a hit 5, and a refresh stall lasts 36.
+    dram::DramTiming timing = labTiming();
+    timing.tRefiCycles = 60;
+    dram::DramSpec quiet;
+    quiet.timing = timing;
+    const sys::AcceleratorConfig accel;
+
+    ChannelPair pair(quiet, accel);
+    // One head miss (done 10), then ten hits: the last one completes
+    // exactly on the refresh deadline.
+    EXPECT_EQ(pair.transfer(0, 11 * 64, false), 60);
+    EXPECT_EQ(pair.fast.stats().rowHits, 10);
+    EXPECT_EQ(pair.fast.stats().refreshes, 0);
+    // The next burst starts on the deadline: refresh, stall, re-miss.
+    EXPECT_EQ(pair.transfer(60, 64, false), 60 + 36 + 10);
+    EXPECT_EQ(pair.fast.stats().refreshes, 1);
+    // A start inside the next refresh stall (deadline 120, stall to 156).
+    EXPECT_EQ(pair.transfer(130, 1, false), 156 + 3 + 5 + 1);
+    EXPECT_TRUE(pair.matches());
+
+    // One aligned row plus one burst, no refresh due: a miss, fifteen
+    // hits, and the burst that starts on the row boundary opens the next
+    // row (a miss) instead of extending the first run.
+    dram::DramSpec rows;
+    rows.timing = labTiming();
+    ChannelPair aligned(rows, accel);
+    EXPECT_EQ(aligned.transfer(0, 1024 + 64, false), 10 + 15 * 5 + 10);
+    EXPECT_EQ(aligned.fast.stats().rowHits, 15);
+    EXPECT_EQ(aligned.fast.stats().rowMisses, 2);
+    EXPECT_TRUE(aligned.matches());
+
+    // A 1-byte transfer, a row-aligned train, a partial tail, then
+    // trains crossing rows mid-burst, on every policy and width.
+    for (const dram::RowPolicy policy :
+         {dram::RowPolicy::Open, dram::RowPolicy::Closed}) {
+        for (const int width : {32, 24, 7}) {
+            dram::DramSpec spec = oneStreamSpec(3.0e8, 0.5, labTiming());
+            spec.timing.tRefiCycles = 300;
+            spec.timing.rowPolicy = policy;
+            sys::AcceleratorConfig config;
+            config.dramBytesPerCycle = width;
+            ChannelPair edges(spec, config);
+            std::int64_t cycle = 0;
+            for (const std::int64_t bytes :
+                 {1, 2048, 100, 2000, 63, 65, 4096, 1024, 1, 3000}) {
+                cycle = edges.transfer(cycle, bytes, bytes % 2 == 0);
+            }
+            EXPECT_TRUE(edges.matches())
+                << dram::rowPolicyName(policy) << " @ " << width;
+        }
+    }
+}
+
+TEST(ChannelTimeline, BurstRunsMatchPerBurstChannelOnRandomTransfers)
+{
+    // Random sizes, gaps (including starts before the channel is free)
+    // and directions against every channel shape.
+    for (const ChannelCase &channel : channelCases()) {
+        sys::AcceleratorConfig config;
+        config.dramBytesPerCycle = channel.dramBytesPerCycle;
+        ChannelPair pair(channel.spec, config);
+        util::Rng rng(0xB0257u);
+        std::int64_t cycle = 0;
+        for (int i = 0; i < 3000; ++i) {
+            const std::int64_t bytes = rng.uniformInt(0, 9000);
+            const std::int64_t gap = rng.uniformInt(-200, 2000);
+            cycle = pair.transfer(std::max<std::int64_t>(0, cycle + gap),
+                                  bytes, rng.uniformInt(0, 3) == 0);
+        }
+        EXPECT_TRUE(pair.matches()) << channel.name;
+    }
 }
 
 // ------------------------------------------------------------- engine ----

@@ -177,6 +177,11 @@ TEST(Submission, RejectsBadDocumentsWithDiagnostics)
          "contention profile"},
         {"x", R"({"backend": "tiered", "camera_mbps": 7000})",
          "contention profile"},
+        // A finite MB/s rate whose bytes/s overflows to inf would fatal
+        // in AutoPilot's profile validation on a pool worker.
+        {"x", R"({"backend": "analytical", "camera_mbps": 1e303})",
+         "camera rate"},
+        {"x", R"({"backend": "cycle", "host_mbps": 1e303})", "host rate"},
         {"x", R"({"tenant": "has space"})", "tenant"},
         {"bad/id", "{}", "id"}, // Path-hostile campaign id.
         {"", "{}", "id"},
