@@ -43,6 +43,7 @@
 #include "nn/e2e_template.h"
 #include "power/dram_model.h"
 #include "power/npu_power.h"
+#include "reference/systolic.h"
 #include "systolic/cycle_engine.h"
 #include "systolic/engine.h"
 #include "systolic/functional.h"

@@ -32,6 +32,9 @@
 #include "io/journal.h"
 #include "nn/e2e_template.h"
 #include "power/npu_power.h"
+#include "reference/gaussian_process.h"
+#include "reference/hypervolume.h"
+#include "reference/systolic.h"
 #include "systolic/compiled_plan.h"
 #include "systolic/cycle_engine.h"
 #include "systolic/engine.h"
@@ -126,7 +129,8 @@ BENCHMARK(BM_CycleEngineFullModel);
  * column folds, 98,304 of a policy model's ~106k); conv2 is a 648-fold
  * conv layer. "jump" is CycleEngine::runLayer (compiled FoldStream,
  * steady-state jump), "stepping" its fold-by-fold reference
- * runLayerStepping. folds_per_s counts the layer's folds per second.
+ * systolic::runLayerStepping (tests/reference). folds_per_s counts the
+ * layer's folds per second.
  */
 void
 BM_CycleRunLayer(benchmark::State &state, const char *layer_name,
@@ -147,9 +151,9 @@ BM_CycleRunLayer(benchmark::State &state, const char *layer_name,
     config.peCols = 16;
     const systolic::CycleEngine engine(config);
     for (auto _ : state) {
-        benchmark::DoNotOptimize(stepping
-                                     ? engine.runLayerStepping(*layer)
-                                     : engine.runLayer(*layer));
+        benchmark::DoNotOptimize(
+            stepping ? systolic::runLayerStepping(engine, *layer)
+                     : engine.runLayer(*layer));
     }
     const systolic::FoldGeometry geometry =
         systolic::foldGeometry(layer->gemm(), config);

@@ -12,6 +12,9 @@
  *    column and one variance solve per query) against three
  *    per-objective GaussianProcess models.
  *
+ * Both references come from the test-only reference library
+ * (tests/reference/).
+ *
  * The front, targets and pool come from a real Phase 2 archive of the
  * dense-obstacle task, so the workload has the BO loop's shape.
  */
@@ -29,6 +32,8 @@
 #include "dse/hypervolume.h"
 #include "dse/optimizer.h"
 #include "nn/e2e_template.h"
+#include "reference/gaussian_process.h"
+#include "reference/hypervolume.h"
 #include "util/rng.h"
 
 using namespace autopilot;

@@ -80,6 +80,11 @@
  * randomly, and the flat contention surcharge stays zero so bytes are
  * never charged twice. The dram spec is folded into the fingerprint the
  * same way.
+ *
+ * Rates that overflow, a --dram-* flag without a dram-capable backend,
+ * and a background load that starves the channel are usage errors (exit
+ * 2), diagnosed before any task runs by runner::applyBackgroundTraffic,
+ * the same check a service submission passes.
  */
 
 #include <csignal>
@@ -241,6 +246,8 @@ main(int argc, char **argv)
         usage("--resume needs a campaign directory (--resume DIR)");
     if (cameraMbps < 0.0 || hostMbps < 0.0)
         usage("contention rates must be >= 0");
+    if (!(npuFloor >= 0.0) || npuFloor >= 1.0)
+        usage("--npu-floor must be in [0, 1)");
     if (!airframeName.empty() && !missionMixFile.empty())
         usage("--airframe and --mission-mix are mutually exclusive");
 
@@ -303,26 +310,19 @@ main(int argc, char **argv)
 
     // --backend dram (or tiered with any --dram-* flag) turns the
     // camera/host rates into bank-level traffic generators; otherwise
-    // they stay the flat contention surcharge. Never both - the same
-    // bytes must not be charged twice.
-    const bool wantsDram =
-        backend == "dram" || (hasDramFlag && backend == "tiered");
-    if (hasDramFlag && !wantsDram)
-        usage("--dram-* flags require --backend dram or tiered");
-    dram::DramSpec dramSpec;
-    systolic::ContentionProfile contention;
-    if (wantsDram) {
-        dramSpec =
-            dram::uavDramSpec(dramTiming, cameraMbps * 1e6,
-                              hostMbps * 1e6);
-        const std::string reason = dramSpec.infeasibleReason();
-        if (!reason.empty())
-            usage("infeasible dram channel: " + reason);
-    } else {
-        contention.cameraBytesPerSec = cameraMbps * 1e6;
-        contention.hostBytesPerSec = hostMbps * 1e6;
-        contention.npuFloorFraction = npuFloor;
-    }
+    // they stay the flat contention surcharge. A profile that would
+    // starve the channel is a usage error here, not a fatal() at the
+    // first evaluation.
+    core::TaskSpec traffic;
+    traffic.backend = backend;
+    traffic.contention.npuFloorFraction = npuFloor;
+    std::string trafficError;
+    if (!runner::applyBackgroundTraffic(cameraMbps, hostMbps,
+                                        hasDramFlag ? &dramTiming : nullptr,
+                                        traffic, trafficError))
+        usage(trafficError);
+    const systolic::ContentionProfile &contention = traffic.contention;
+    const dram::DramSpec &dramSpec = traffic.dram;
 
     runner::CampaignConfig config;
     config.rootDir = dir;

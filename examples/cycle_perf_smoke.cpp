@@ -4,7 +4,8 @@
  * randomized hardware-space corpus (200 sampled configurations plus the
  * space corners, all three dataflows) x every bundled policy model
  * through CycleEngine::runLayer (FoldStream + steady-state jump) and
- * CycleEngine::runLayerStepping (the same stream stepped fold by fold),
+ * systolic::runLayerStepping (the same stream stepped fold by fold; the
+ * test-side reference in tests/reference/systolic.h),
  * with and without a derating contention profile. Exits nonzero unless
  * the two agree to the cycle on every layer and the jump path is faster
  * than stepping, timed within this one process (so only the ratio
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "nn/e2e_template.h"
+#include "reference/systolic.h"
 #include "systolic/cycle_engine.h"
 
 using namespace autopilot;
@@ -77,7 +79,8 @@ main()
                     fast.push_back(engine.runLayer(layer));
                 const double middle = nowSeconds();
                 for (const nn::Layer &layer : model.layers())
-                    stepped.push_back(engine.runLayerStepping(layer));
+                    stepped.push_back(
+                        systolic::runLayerStepping(engine, layer));
                 fastSeconds += middle - start;
                 steppingSeconds += nowSeconds() - middle;
 

@@ -44,13 +44,11 @@ class DramCycleEngine : public systolic::Engine
 
     /**
      * Command/traffic counters accumulated across every layer simulated
-     * since construction (or the last resetRunStats()); generator state
-     * itself is per layer - each runLayer() opens a fresh
-     * ChannelTimeline, keeping layers independent and runs
-     * order-insensitive.
+     * since construction; generator state itself is per layer - each
+     * runLayer() opens a fresh ChannelTimeline, keeping layers
+     * independent and runs order-insensitive.
      */
     const ChannelStats &runStats() const { return runStats_; }
-    void resetRunStats() { runStats_ = {}; }
 
   private:
     systolic::AcceleratorConfig cfg;

@@ -38,7 +38,7 @@ class BayesOpt : public Optimizer
         /// SMS-EGO. Larger q trades a slightly staler surrogate for
         /// batch-parallel simulation throughput.
         int batchSize = 1;
-        GaussianProcess::Params gp; ///< Shared kernel parameters.
+        GpParams gp; ///< Shared kernel parameters.
     };
 
     /** Construct with default settings. */

@@ -601,7 +601,8 @@ TieredBackend::absorb(const Objectives &screenedObjectives)
 }
 
 bool
-TieredBackend::shouldPromote(const Objectives &screenedObjectives) const
+TieredBackend::shouldPromote(const HypervolumeGain &frontGain,
+                             const Objectives &screenedObjectives) const
 {
     // Band semantics: improve the candidate componentwise by the band
     // fraction; promote when that relaxed point still contributes
@@ -613,8 +614,7 @@ TieredBackend::shouldPromote(const Objectives &screenedObjectives) const
     Objectives relaxed = screenedObjectives;
     for (double &component : relaxed)
         component *= 1.0 - band_;
-    return hypervolumeContribution(analyticalFront, relaxed,
-                                   tierPolicy.referencePoint) > 0.0;
+    return frontGain.contribution(relaxed) > 0.0;
 }
 
 void
@@ -667,8 +667,12 @@ TieredBackend::evaluateBatch(std::span<const DesignPoint> points,
         std::lock_guard<std::mutex> lock(stateMutex);
         for (const Evaluation &screenedEval : screenedEvals)
             absorb(screenedEval.objectives);
+        // The front and the band stay fixed for the whole decision
+        // loop, so one sweep of the front scores every point.
+        const HypervolumeGain frontGain(analyticalFront,
+                                        tierPolicy.referencePoint);
         for (std::size_t i = 0; i < points.size(); ++i) {
-            if (shouldPromote(screenedEvals[i].objectives))
+            if (shouldPromote(frontGain, screenedEvals[i].objectives))
                 promotedIndices.push_back(i);
         }
         screened_ += points.size();

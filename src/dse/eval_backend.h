@@ -60,6 +60,8 @@
 namespace autopilot::dse
 {
 
+class HypervolumeGain;
+
 /** Everything a backend needs besides the design point itself. */
 struct BackendContext
 {
@@ -453,8 +455,10 @@ class TieredBackend : public EvalBackend
     void absorb(const Objectives &screened);
 
     /// Band-relaxed hypervolume-contribution test against the running
-    /// front. Caller holds stateMutex.
-    bool shouldPromote(const Objectives &screened) const;
+    /// front, which @p frontGain was built from. Caller holds
+    /// stateMutex.
+    bool shouldPromote(const HypervolumeGain &frontGain,
+                       const Objectives &screened) const;
 
     /// Fold one promoted point's analytical-vs-cycle relative latency
     /// error and re-derive the adaptive band. Caller holds stateMutex.

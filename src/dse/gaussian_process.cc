@@ -17,12 +17,12 @@ namespace
 {
 
 double
-squaredExponential(const GaussianProcess::Params &params,
+squaredExponential(const GpParams &params,
                    const std::vector<double> &a,
                    const std::vector<double> &b)
 {
     util::panicIf(a.size() != b.size(),
-                  "GaussianProcess::kernel: dimension mismatch");
+                  "SharedGaussianProcess::kernel: dimension mismatch");
     double sq = 0.0;
     for (std::size_t d = 0; d < a.size(); ++d) {
         const double diff = (a[d] - b[d]) / params.lengthScale;
@@ -32,11 +32,11 @@ squaredExponential(const GaussianProcess::Params &params,
 }
 
 void
-checkParams(const GaussianProcess::Params &params)
+checkParams(const GpParams &params)
 {
     fatalIf(params.lengthScale <= 0.0 || params.signalVariance <= 0.0 ||
                 params.noiseVariance < 0.0,
-            "GaussianProcess: bad kernel parameters");
+            "SharedGaussianProcess: bad kernel parameters");
 }
 
 /** Standardize @p targets in place; returns {mean, std}. */
@@ -54,7 +54,7 @@ standardize(std::vector<double> &targets)
 
 /** Gram rows @p first.. of @p inputs, up to the diagonal, plus noise. */
 util::Matrix
-gramRows(const GaussianProcess::Params &params,
+gramRows(const GpParams &params,
          const std::vector<std::vector<double>> &inputs, std::size_t first)
 {
     const std::size_t n = inputs.size();
@@ -78,68 +78,12 @@ GpPrediction::stddev() const
     return std::sqrt(std::max(0.0, variance));
 }
 
-GaussianProcess::GaussianProcess() : GaussianProcess(Params())
-{
-}
-
-GaussianProcess::GaussianProcess(const Params &params)
-    : kernelParams(params)
-{
-    checkParams(params);
-}
-
-void
-GaussianProcess::fit(const std::vector<std::vector<double>> &inputs,
-                     const std::vector<double> &targets)
-{
-    fatalIf(inputs.empty() || inputs.size() != targets.size(),
-            "GaussianProcess::fit: empty or mismatched training data");
-
-    trainInputs = inputs;
-
-    std::vector<double> standardized = targets;
-    std::tie(targetMean, targetStd) = standardize(standardized);
-
-    factor = std::make_unique<util::CholeskyFactor>(
-        gramRows(kernelParams, inputs, 0), kFactorJitter);
-    alpha = factor->solve(standardized);
-}
-
-GpPrediction
-GaussianProcess::predict(const std::vector<double> &query) const
-{
-    fatalIf(!fitted(), "GaussianProcess::predict: model not fitted");
-
-    const std::size_t n = trainInputs.size();
-    std::vector<double> kstar(n, 0.0);
-    for (std::size_t i = 0; i < n; ++i)
-        kstar[i] = squaredExponential(kernelParams, trainInputs[i], query);
-
-    double mean_std = 0.0;
-    for (std::size_t i = 0; i < n; ++i)
-        mean_std += kstar[i] * alpha[i];
-
-    // Variance: k(x,x) - k*^T K^{-1} k*.
-    const std::vector<double> v = factor->solveLower(kstar);
-    double reduction = 0.0;
-    for (double value : v)
-        reduction += value * value;
-    const double var_std =
-        std::max(0.0, kernelParams.signalVariance - reduction);
-
-    GpPrediction prediction;
-    prediction.mean = mean_std * targetStd + targetMean;
-    prediction.variance = var_std * targetStd * targetStd;
-    return prediction;
-}
-
 SharedGaussianProcess::SharedGaussianProcess()
-    : SharedGaussianProcess(GaussianProcess::Params())
+    : SharedGaussianProcess(GpParams())
 {
 }
 
-SharedGaussianProcess::SharedGaussianProcess(
-    const GaussianProcess::Params &params)
+SharedGaussianProcess::SharedGaussianProcess(const GpParams &params)
     : kernelParams(params)
 {
     checkParams(params);

@@ -10,6 +10,10 @@
  * Targets are standardized internally (zero mean, unit variance) so one
  * set of kernel hyperparameters works across objectives with very
  * different scales (success fraction vs. watts vs. milliseconds).
+ *
+ * SharedGaussianProcess fits every objective's GP over one shared
+ * Cholesky factor. The per-objective GaussianProcess it is checked
+ * against bit for bit is test code (tests/reference/).
  */
 
 #ifndef AUTOPILOT_DSE_GAUSSIAN_PROCESS_H
@@ -33,58 +37,25 @@ struct GpPrediction
     double stddev() const;
 };
 
-/** Squared-exponential-kernel GP regressor. */
-class GaussianProcess
+/** Squared-exponential kernel hyperparameters. */
+struct GpParams
 {
-  public:
-    /** Kernel hyperparameters. */
-    struct Params
-    {
-        double lengthScale = 0.25; ///< Shared isotropic length scale.
-        double signalVariance = 1.0;
-        double noiseVariance = 1e-4;
-    };
-
-    /** Construct with default kernel parameters. */
-    GaussianProcess();
-
-    explicit GaussianProcess(const Params &params);
-
-    /**
-     * Fit to training data.
-     *
-     * @param inputs  Feature vectors (all the same dimension, non-empty).
-     * @param targets One target per input.
-     */
-    void fit(const std::vector<std::vector<double>> &inputs,
-             const std::vector<double> &targets);
-
-    /** True after a successful fit(). */
-    bool fitted() const { return factor != nullptr; }
-
-    /** Posterior mean and variance at a query point. */
-    GpPrediction predict(const std::vector<double> &query) const;
-
-    const Params &params() const { return kernelParams; }
-
-  private:
-    Params kernelParams;
-    std::vector<std::vector<double>> trainInputs;
-    std::vector<double> alpha; ///< K^{-1} (y - mean), standardized.
-    std::unique_ptr<util::CholeskyFactor> factor;
-    double targetMean = 0.0;
-    double targetStd = 1.0;
+    double lengthScale = 0.25; ///< Shared isotropic length scale.
+    double signalVariance = 1.0;
+    double noiseVariance = 1e-4;
 };
 
 /**
- * One GP per target over a shared input set and kernel.
+ * One squared-exponential GP per target over a shared input set and
+ * kernel.
  *
- * The per-target GaussianProcess models of an SMS-EGO iteration differ
- * only in their targets, so they would build identical Gram matrices and
- * Cholesky factors, and repeat the same kernel column and variance solve
- * at every query. This class builds one factor, keeps one alpha per
- * target, and answers each query with one kernel column and one solve.
- * Every prediction is bit-identical to the per-target GaussianProcess.
+ * One GP per objective would build identical Gram matrices and Cholesky
+ * factors, and repeat the same kernel column and variance solve at every
+ * query, because the models differ only in their targets. This class
+ * builds one factor, keeps one alpha per target, and answers each query
+ * with one kernel column and one solve. Every prediction is
+ * bit-identical to a separate single-target GP per objective (the
+ * test-side reference in tests/reference/gaussian_process.h).
  *
  * fit() on inputs that extend the previous fit's inputs (an append-only
  * archive) extends the factor by the new rows instead of refactorizing,
@@ -96,7 +67,7 @@ class SharedGaussianProcess
     /** Construct with default kernel parameters. */
     SharedGaussianProcess();
 
-    explicit SharedGaussianProcess(const GaussianProcess::Params &params);
+    explicit SharedGaussianProcess(const GpParams &params);
 
     /**
      * Fit one GP per target vector.
@@ -125,7 +96,7 @@ class SharedGaussianProcess
         double std = 1.0;
     };
 
-    GaussianProcess::Params kernelParams;
+    GpParams kernelParams;
     std::vector<std::vector<double>> trainInputs;
     std::vector<Target> fits;
     std::unique_ptr<util::CholeskyFactor> factor;

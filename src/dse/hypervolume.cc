@@ -202,18 +202,6 @@ hypervolume(const std::vector<Objectives> &points,
     }
 }
 
-double
-hypervolumeContribution(const std::vector<Objectives> &points,
-                        const Objectives &candidate,
-                        const Objectives &reference)
-{
-    const double base = hypervolume(points, reference);
-    std::vector<Objectives> extended = points;
-    extended.push_back(candidate);
-    const double grown = hypervolume(extended, reference);
-    return std::max(0.0, grown - base);
-}
-
 HypervolumeGain::HypervolumeGain(const std::vector<Objectives> &points,
                                  const Objectives &reference)
     : reference(reference)
@@ -292,11 +280,23 @@ HypervolumeGain::mergedArea(std::ptrdiff_t level,
     return true;
 }
 
+/**
+ * 1-2 objectives: sweep the extended set and subtract the base. Kept
+ * out of line so contribution()'s 3-objective path stays small.
+ */
+double
+HypervolumeGain::fallbackContribution(const Objectives &candidate) const
+{
+    std::vector<Objectives> extended = fallbackPoints;
+    extended.push_back(candidate);
+    return std::max(0.0, hypervolume(extended, reference) - baseVolume);
+}
+
 double
 HypervolumeGain::contribution(const Objectives &candidate) const
 {
     if (reference.size() != 3)
-        return hypervolumeContribution(fallbackPoints, candidate, reference);
+        return fallbackContribution(candidate);
     panicIf(candidate.size() != 3, "hypervolume: dimension mismatch");
     for (std::size_t d = 0; d < 3; ++d) {
         if (candidate[d] >= reference[d])

@@ -34,30 +34,21 @@ double hypervolume(const std::vector<Objectives> &points,
                    const Objectives &reference);
 
 /**
- * Hypervolume gained by adding @p candidate to @p points.
- *
- * Non-negative; zero when the candidate is dominated. This recomputes
- * both volumes from scratch and is the reference HypervolumeGain is
- * checked against.
- */
-double hypervolumeContribution(const std::vector<Objectives> &points,
-                               const Objectives &candidate,
-                               const Objectives &reference);
-
-/**
- * hypervolumeContribution() against one fixed point set, for scoring
- * many candidates.
+ * Hypervolume gained by adding a candidate to one fixed point set, for
+ * scoring many candidates.
  *
  * Construction runs the 3-D slab sweep once and keeps, per distinct
  * depth, the slab's 2-D staircase with its running strip sums and the
  * running volume. contribution() then resumes the sweep at the
  * candidate's depth and recomputes only the slabs the candidate enters.
  * What it computes, and what it reuses from construction, are the
- * reference's own operations in the reference's order, so the result is
- * bit-identical to hypervolumeContribution(points, candidate, reference).
- * Other than 3 objectives, it falls back to the reference. Immutable
- * after construction, so contribution() is safe to call from many
- * threads.
+ * operations hypervolume() performs on the extended set, in the same
+ * order, so the result is bit-identical to
+ * max(0, hypervolume(points + candidate) - hypervolume(points)): that
+ * two-sweep difference is the test-side reference
+ * (tests/reference/hypervolume.h). With 1 or 2 objectives,
+ * contribution() computes that difference itself. Immutable after
+ * construction, so contribution() is safe to call from many threads.
  */
 class HypervolumeGain
 {
@@ -68,7 +59,10 @@ class HypervolumeGain
     /** hypervolume(points, reference). */
     double base() const { return baseVolume; }
 
-    /** Bit-identical to hypervolumeContribution(points, c, reference). */
+    /**
+     * Hypervolume @p candidate adds to the points: non-negative, zero
+     * when it is dominated or outside the reference box.
+     */
     double contribution(const Objectives &candidate) const;
 
   private:
@@ -89,6 +83,7 @@ class HypervolumeGain
     std::vector<std::size_t> stairBegin; ///< levelZ.size() + 1 offsets.
     std::vector<Step> stairs;         ///< Per-level staircases, flat.
 
+    double fallbackContribution(const Objectives &candidate) const;
     double nextZ(std::size_t level) const;
     bool mergedArea(std::ptrdiff_t level, const Objectives &candidate,
                     double &area) const;

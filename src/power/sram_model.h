@@ -38,8 +38,6 @@ class SramModel
     /** Standby leakage power, milliwatts. */
     double leakageMw() const;
 
-    int capacityKb() const { return kb; }
-
   private:
     int kb;
     TechnologyNode tech;

@@ -351,6 +351,19 @@ parseSubmission(const std::string &id, const std::string &text,
         sub.task.spec.missionMix.scenarios = {scenario};
     }
 
+    if (!applyBackgroundTraffic(cameraMbps, hostMbps,
+                                hasDramKey ? &dramTiming : nullptr,
+                                sub.task.spec, error))
+        return false;
+    out = std::move(sub);
+    return true;
+}
+
+bool
+applyBackgroundTraffic(double cameraMbps, double hostMbps,
+                       const dram::DramTiming *dramTiming,
+                       core::TaskSpec &spec, std::string &error)
+{
     // Rates arrive in MB/s, so a finite rate can still overflow to inf
     // in bytes/s. AutoPilot's ContentionProfile::validate() would then
     // fatal on a pool worker whatever the backend; diagnose it here.
@@ -364,47 +377,45 @@ parseSubmission(const std::string &id, const std::string &text,
     }
 
     // Bank-level simulation is active for the "dram" backend (or for
-    // "tiered" when a dram_* key opts the verify tier in). The same
+    // "tiered" when dram timing opts the verify tier in). The same
     // camera/host rates then shape traffic generators instead of the
     // flat contention surcharge, which stays zero so the channel is
     // never charged twice for the same bytes.
-    const bool wantsDram =
-        sub.task.spec.backend == "dram" ||
-        (hasDramKey && sub.task.spec.backend == "tiered");
-    if (hasDramKey && !wantsDram) {
+    const bool wantsDram = spec.backend == "dram" ||
+                           (dramTiming != nullptr && spec.backend == "tiered");
+    if (dramTiming != nullptr && !wantsDram) {
         error = "dram_* keys require backend 'dram' or 'tiered'";
         return false;
     }
     if (wantsDram) {
-        sub.task.spec.dram =
-            dram::uavDramSpec(dramTiming, rates.cameraBytesPerSec,
-                              rates.hostBytesPerSec);
-        std::string dramError = sub.task.spec.dram.infeasibleReason();
+        dram::DramSpec dramSpec = dram::uavDramSpec(
+            dramTiming != nullptr ? *dramTiming : dram::DramTiming{},
+            rates.cameraBytesPerSec, rates.hostBytesPerSec);
+        const std::string dramError = dramSpec.infeasibleReason();
         if (!dramError.empty()) {
             error = "infeasible dram channel: " + dramError;
             return false;
         }
-    } else {
-        sub.task.spec.contention.cameraBytesPerSec =
-            rates.cameraBytesPerSec;
-        sub.task.spec.contention.hostBytesPerSec = rates.hostBytesPerSec;
-        // The derated backends ("contention", and "tiered" without
-        // dram_* keys) would fatal mid-campaign on a profile that
-        // starves the channel, taking every co-running tenant down. The
-        // hardware space never varies clock or DRAM width, so the
-        // default configuration's peak is every design's peak.
-        const std::string &backend = sub.task.spec.backend;
-        if (backend == "contention" || backend == "tiered") {
-            const std::string starved =
-                sub.task.spec.contention.infeasibleReason(
-                    systolic::AcceleratorConfig{});
-            if (!starved.empty()) {
-                error = "camera_mbps/host_mbps: " + starved;
-                return false;
-            }
+        spec.dram = std::move(dramSpec);
+        return true;
+    }
+    systolic::ContentionProfile contention = spec.contention;
+    contention.cameraBytesPerSec = rates.cameraBytesPerSec;
+    contention.hostBytesPerSec = rates.hostBytesPerSec;
+    // The derated backends ("contention", and "tiered" without dram
+    // timing) would fatal mid-campaign on a profile that starves the
+    // channel, taking every co-running tenant down. The hardware space
+    // never varies clock or DRAM width, so the default configuration's
+    // peak is every design's peak.
+    if (spec.backend == "contention" || spec.backend == "tiered") {
+        const std::string starved =
+            contention.infeasibleReason(systolic::AcceleratorConfig{});
+        if (!starved.empty()) {
+            error = "camera_mbps/host_mbps: " + starved;
+            return false;
         }
     }
-    out = std::move(sub);
+    spec.contention = contention;
     return true;
 }
 

@@ -52,6 +52,7 @@
 #include <string>
 #include <vector>
 
+#include "dram/config.h"
 #include "runner/campaign.h"
 #include "uav/mission_profile.h"
 #include "util/cancel.h"
@@ -103,6 +104,26 @@ bool parseSubmission(const std::string &id, const std::string &text,
  */
 bool parseMissionMix(const std::string &text, uav::MissionMix &out,
                      std::string &error);
+
+/**
+ * Program the background DRAM traffic of @p spec from camera and host
+ * rates in MB/s, for the backend @p spec already names. The bank-level
+ * dram::DramSpec carries the rates for "dram", and for "tiered" when
+ * @p dramTiming is given (a dram_* key or --dram-* flag was set);
+ * otherwise the flat systolic::ContentionProfile does, never both, so
+ * no byte is charged twice. spec.contention.npuFloorFraction is left
+ * as the caller set it.
+ *
+ * Returns false with a diagnosis in @p error, leaving @p spec alone,
+ * when a rate overflows to a non-finite byte rate, when @p dramTiming is
+ * given for any other backend, or when the channel would be degenerate
+ * or starved: each of these would otherwise call fatal() at the task's
+ * first evaluation. parseSubmission and campaign_runner's classic mode
+ * both build their tasks' traffic here.
+ */
+bool applyBackgroundTraffic(double cameraMbps, double hostMbps,
+                            const dram::DramTiming *dramTiming,
+                            core::TaskSpec &spec, std::string &error);
 
 /** Service-level knobs. */
 struct ServiceConfig

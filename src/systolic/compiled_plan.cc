@@ -17,7 +17,8 @@ ceilDiv(std::int64_t a, std::int64_t b)
 }
 
 /**
- * Fold 0's portion of evenShare(total, share_count, 0) in memory.cc:
+ * Fold 0's portion of total split evenly over share_count carriers
+ * (FoldShares, fold_stream.h):
  * base + 1 extra byte whenever the division has a remainder, i.e.
  * ceil(total / share_count).
  */

@@ -4,15 +4,12 @@
  *
  * The scalar analytical path (AnalyticalEngine::run) re-derives, for
  * every (design, model) pair, facts that depend only on the model: the
- * per-layer GEMM lowering, tensor element counts and MAC totals. Worse,
- * its per-layer timing walks a materialized std::vector<Fold> (hundreds
- * to thousands of heap-allocated Fold structs for small PE arrays) even
- * though the fold sums collapse to closed form. CompiledModelPlan
- * precomputes the model-only invariants once into contiguous
- * structure-of-arrays vectors; evaluatePlanBatch() then costs N
- * accelerator configurations against one plan with tight inner loops
- * over those arrays, no per-design heap allocation (scratch comes from a
- * util::Arena) and no fold vectors.
+ * per-layer GEMM lowering, tensor element counts and MAC totals.
+ * CompiledModelPlan precomputes the model-only invariants once into
+ * contiguous structure-of-arrays vectors; evaluatePlanBatch() then costs
+ * N accelerator configurations against one plan with tight inner loops
+ * over those arrays and no per-design heap allocation (scratch comes
+ * from a util::Arena).
  *
  * Bit-exactness contract: for every configuration the kernel's
  * aggregates (cycles, MACs, LayerTraffic) are byte-identical to what

@@ -33,9 +33,13 @@ CycleEngine::runLayer(const nn::Layer &layer) const
                   "systolic.cycle.layer_sim_s")
             : nullptr);
 
+    // The un-derated path stays the exact integer ceiling, so an empty
+    // contention profile is bit-identical to the contention-free engine;
+    // the derated path pays ceil(bytes / (BW * derate)).
+    const BandwidthTransfer transfer(cfg.dramBytesPerCycle, bandwidthDerate);
     const FoldStream stream(layer, cfg);
     LayerResult result = timelineResult(
-        layer, stream.shares(), jumpFoldTimeline(stream.runs(), transfer()));
+        layer, stream.shares(), jumpFoldTimeline(stream.runs(), transfer));
 
     if (telemetry.enabled()) {
         telemetry.metrics().counter("systolic.cycle.layers").add();
@@ -44,23 +48,6 @@ CycleEngine::runLayer(const nn::Layer &layer) const
             .add(static_cast<std::uint64_t>(result.totalCycles));
     }
     return result;
-}
-
-LayerResult
-CycleEngine::runLayerStepping(const nn::Layer &layer) const
-{
-    const FoldStream stream(layer, cfg);
-    return timelineResult(layer, stream.shares(),
-                          runFoldTimeline(stream.runs(), transfer()));
-}
-
-BandwidthTransfer
-CycleEngine::transfer() const
-{
-    // The un-derated path stays the exact integer ceiling, so an empty
-    // contention profile is bit-identical to the contention-free engine;
-    // the derated path pays ceil(bytes / (BW * derate)).
-    return BandwidthTransfer(cfg.dramBytesPerCycle, bandwidthDerate);
 }
 
 } // namespace autopilot::systolic

@@ -18,9 +18,9 @@
  * is freed when fold f-2 completes, allowing fetch f to begin).
  *
  * runLayer() compiles the layer into a FoldStream and jumps over each
- * run's steady state (jumpFoldTimeline, fold_stream.h);
- * runLayerStepping() steps every fold and is kept as the reference the
- * jump is checked against.
+ * run's steady state (jumpFoldTimeline, fold_stream.h). The reference it
+ * is checked against, the same stream stepped fold by fold through
+ * runFoldTimeline(), lives with the tests (tests/reference/systolic.h).
  */
 
 #ifndef AUTOPILOT_SYSTOLIC_CYCLE_ENGINE_H
@@ -55,18 +55,10 @@ class CycleEngine : public Engine
 
     LayerResult runLayer(const nn::Layer &layer) const override;
 
-    /**
-     * runLayer() stepped one fold at a time over the same FoldStream:
-     * the reference runLayer() must match field for field.
-     */
-    LayerResult runLayerStepping(const nn::Layer &layer) const;
-
     const AcceleratorConfig &config() const { return cfg; }
     const ContentionProfile &contention() const { return profile; }
 
   private:
-    BandwidthTransfer transfer() const;
-
     AcceleratorConfig cfg;
     ContentionProfile profile;
     /// Effective-bandwidth fraction left to the NPU; 1.0 when the

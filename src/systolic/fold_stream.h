@@ -13,8 +13,9 @@
  *    and the first-row / first-column / last-row / last-column folds, so
  *    compiling costs O(row folds), not O(folds).
  *  - runFoldTimeline() steps the recurrence fold by fold through any
- *    transfer function. It is the reference, and the only path for a
- *    time-dependent channel (the bank-level DRAM tier).
+ *    transfer function. It is the only path for a time-dependent
+ *    channel (the bank-level DRAM tier), and with a fixed-bandwidth
+ *    transfer it is the reference the tests check the jump against.
  *  - jumpFoldTimeline() gives the same result for a fixed-bandwidth
  *    transfer by jumping over each run's steady state in O(1); see
  *    DESIGN.md §18 for why the jump is exact.

@@ -2,13 +2,8 @@
 
 #include <algorithm>
 
-#include "systolic/fold_stream.h"
-#include "util/logging.h"
-
 namespace autopilot::systolic
 {
-
-using util::panicIf;
 
 namespace
 {
@@ -65,13 +60,12 @@ analyzeResidency(const nn::Layer &layer, const AcceleratorConfig &config)
     return residency;
 }
 
-namespace
-{
-
 LayerTraffic
-trafficForFolds(const nn::Layer &layer, std::int64_t row_folds,
-                std::int64_t col_folds, const AcceleratorConfig &config)
+computeTraffic(const nn::Layer &layer, const FoldGeometry &geometry,
+               const AcceleratorConfig &config)
 {
+    const std::int64_t row_folds = geometry.rowFolds;
+    const std::int64_t col_folds = geometry.colFolds;
     const std::int64_t bpe = config.bytesPerElement;
     const nn::GemmShape gemm = layer.gemm();
     const Residency residency = analyzeResidency(layer, config);
@@ -139,46 +133,6 @@ trafficForFolds(const nn::Layer &layer, std::int64_t row_folds,
     }
 
     return traffic;
-}
-
-} // namespace
-
-LayerTraffic
-computeTraffic(const nn::Layer &layer, const FoldSchedule &schedule,
-               const AcceleratorConfig &config)
-{
-    return trafficForFolds(layer, schedule.rowFolds, schedule.colFolds,
-                           config);
-}
-
-LayerTraffic
-computeTraffic(const nn::Layer &layer, const FoldGeometry &geometry,
-               const AcceleratorConfig &config)
-{
-    return trafficForFolds(layer, geometry.rowFolds, geometry.colFolds,
-                           config);
-}
-
-std::int64_t
-foldFetchBytes(const nn::Layer &layer, const FoldSchedule &schedule,
-               const AcceleratorConfig &config, std::int64_t fold_index)
-{
-    panicIf(fold_index < 0 || fold_index >= schedule.foldCount(),
-            "foldFetchBytes: fold index out of range");
-    return FoldShares(layer, config)
-        .fetchBytes(fold_index / schedule.colFolds,
-                    fold_index % schedule.colFolds);
-}
-
-std::int64_t
-foldWritebackBytes(const nn::Layer &layer, const FoldSchedule &schedule,
-                   const AcceleratorConfig &config, std::int64_t fold_index)
-{
-    panicIf(fold_index < 0 || fold_index >= schedule.foldCount(),
-            "foldWritebackBytes: fold index out of range");
-    return FoldShares(layer, config)
-        .writebackBytes(fold_index / schedule.colFolds,
-                        fold_index % schedule.colFolds);
 }
 
 } // namespace autopilot::systolic

@@ -89,42 +89,15 @@ Residency analyzeResidency(const nn::Layer &layer,
  * Compute DRAM traffic and scratchpad access counts for one layer.
  *
  * @param layer    The layer (provides raw tensor footprints).
- * @param schedule Fold schedule from scheduleGemm().
+ * @param geometry Fold geometry from foldGeometry(layer.gemm(), config).
  * @param config   Accelerator configuration.
+ *
+ * How these totals split over the folds is FoldShares' job
+ * (fold_stream.h).
  */
-LayerTraffic computeTraffic(const nn::Layer &layer,
-                            const FoldSchedule &schedule,
-                            const AcceleratorConfig &config);
-
-/** computeTraffic() from the closed-form fold geometry. */
 LayerTraffic computeTraffic(const nn::Layer &layer,
                             const FoldGeometry &geometry,
                             const AcceleratorConfig &config);
-
-/**
- * DRAM bytes that fold @p fold_index must fetch before compute can start,
- * consistent with computeTraffic()'s totals: tensors that are resident are
- * only fetched during the first pass that touches them. A wrapper over
- * FoldShares (fold_stream.h), which the engines use directly.
- *
- * @param layer      The layer being executed.
- * @param schedule   Fold schedule from scheduleGemm(layer.gemm(), config).
- * @param config     Accelerator configuration.
- * @param fold_index Index into schedule.folds (row-major).
- */
-std::int64_t foldFetchBytes(const nn::Layer &layer,
-                            const FoldSchedule &schedule,
-                            const AcceleratorConfig &config,
-                            std::int64_t fold_index);
-
-/**
- * DRAM bytes written back by fold @p fold_index (its final ofmap tiles),
- * consistent with computeTraffic()'s totals. A wrapper over FoldShares.
- */
-std::int64_t foldWritebackBytes(const nn::Layer &layer,
-                                const FoldSchedule &schedule,
-                                const AcceleratorConfig &config,
-                                std::int64_t fold_index);
 
 } // namespace autopilot::systolic
 

@@ -41,24 +41,6 @@ assignDims(const nn::GemmShape &gemm, Dataflow dataflow)
 } // namespace
 
 std::int64_t
-FoldSchedule::computeCycles() const
-{
-    std::int64_t total = 0;
-    for (const Fold &fold : folds)
-        total += fold.cycles;
-    return total;
-}
-
-std::int64_t
-FoldSchedule::totalMacs() const
-{
-    std::int64_t total = 0;
-    for (const Fold &fold : folds)
-        total += fold.macs;
-    return total;
-}
-
-std::int64_t
 foldCycles(std::int64_t rows_used, std::int64_t cols_used,
            std::int64_t stream_len)
 {
@@ -92,53 +74,6 @@ foldGeometry(const nn::GemmShape &gemm, const AcceleratorConfig &config)
     geometry.rowFolds = ceilDiv(dims.rowDim, config.peRows);
     geometry.colFolds = ceilDiv(dims.colDim, config.peCols);
     return geometry;
-}
-
-FoldSchedule
-scheduleGemm(const nn::GemmShape &gemm, const AcceleratorConfig &config)
-{
-    const FoldGeometry geometry = foldGeometry(gemm, config);
-    const std::int64_t stream = geometry.streamDim;
-    const std::int64_t bpe = config.bytesPerElement;
-
-    FoldSchedule schedule;
-    schedule.rowFolds = geometry.rowFolds;
-    schedule.colFolds = geometry.colFolds;
-    schedule.folds.reserve(static_cast<std::size_t>(geometry.foldCount()));
-
-    for (std::int64_t i = 0; i < schedule.rowFolds; ++i) {
-        const std::int64_t rows_used = geometry.rowsUsed(i);
-        for (std::int64_t j = 0; j < schedule.colFolds; ++j) {
-            const std::int64_t cols_used = geometry.colsUsed(j);
-
-            Fold fold;
-            fold.rowsUsed = rows_used;
-            fold.colsUsed = cols_used;
-            fold.streamLen = stream;
-            fold.cycles = foldCycles(rows_used, cols_used, stream);
-            fold.macs = rows_used * cols_used * stream;
-
-            switch (config.dataflow) {
-              case Dataflow::WeightStationary:
-                fold.filterBytes = rows_used * cols_used * bpe;
-                fold.ifmapBytes = rows_used * stream * bpe;
-                fold.ofmapBytes = cols_used * stream * bpe;
-                break;
-              case Dataflow::OutputStationary:
-                fold.ifmapBytes = rows_used * stream * bpe;
-                fold.filterBytes = cols_used * stream * bpe;
-                fold.ofmapBytes = rows_used * cols_used * bpe;
-                break;
-              case Dataflow::InputStationary:
-                fold.ifmapBytes = rows_used * cols_used * bpe;
-                fold.filterBytes = rows_used * stream * bpe;
-                fold.ofmapBytes = cols_used * stream * bpe;
-                break;
-            }
-            schedule.folds.push_back(fold);
-        }
-    }
-    return schedule;
 }
 
 } // namespace autopilot::systolic

@@ -11,8 +11,10 @@
  *   IS: rows <- K (window depth), cols <- M (output pixels); N streams.
  *
  * Each fold has a fill/compute/drain cycle count derived from the classic
- * systolic pipeline timing; the scheduler also reports per-fold operand
- * tile sizes so the memory model can build the prefetch timeline.
+ * systolic pipeline timing. FoldGeometry gives every fold's shape and
+ * cycles in closed form from its (row, column) position, so no engine
+ * materializes a per-fold vector; the tests' per-fold oracle is a thin
+ * adapter over it (tests/reference/systolic.h).
  */
 
 #ifndef AUTOPILOT_SYSTOLIC_TILING_H
@@ -20,7 +22,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <vector>
 
 #include "nn/layer.h"
 #include "systolic/config.h"
@@ -28,40 +29,11 @@
 namespace autopilot::systolic
 {
 
-/** One fold: the work mapped onto the array at one time. */
-struct Fold
-{
-    std::int64_t rowsUsed = 0;   ///< PE rows occupied (<= peRows).
-    std::int64_t colsUsed = 0;   ///< PE columns occupied (<= peCols).
-    std::int64_t streamLen = 0;  ///< Elements streamed through the array.
-    std::int64_t cycles = 0;     ///< Fill + stream + drain cycles.
-    std::int64_t ifmapBytes = 0; ///< Ifmap tile fetched for this fold.
-    std::int64_t filterBytes = 0;///< Filter tile fetched for this fold.
-    std::int64_t ofmapBytes = 0; ///< Ofmap tile written back by this fold.
-    std::int64_t macs = 0;       ///< Useful MACs performed in this fold.
-};
-
-/** Complete fold schedule of one layer. */
-struct FoldSchedule
-{
-    std::int64_t rowFolds = 0; ///< Folds along the row-mapped dimension.
-    std::int64_t colFolds = 0; ///< Folds along the column-mapped dimension.
-    std::vector<Fold> folds;   ///< Row-major fold order.
-
-    /** Total folds = rowFolds * colFolds. */
-    std::int64_t foldCount() const { return rowFolds * colFolds; }
-
-    /** Sum of per-fold compute cycles. */
-    std::int64_t computeCycles() const;
-
-    /** Sum of per-fold useful MACs. */
-    std::int64_t totalMacs() const;
-};
-
 /**
- * Closed-form fold geometry of a layer: everything scheduleGemm()'s fold
- * vector holds, as O(1) functions of the fold's (row, column) position.
- * Only the last row fold and the last column fold can be partial.
+ * Closed-form fold geometry of a layer: each fold's shape and cycles as
+ * O(1) functions of its (row, column) position, folds in row-major
+ * order. Only the last row fold and the last column fold can be
+ * partial.
  */
 struct FoldGeometry
 {
@@ -87,12 +59,12 @@ struct FoldGeometry
         return std::min(peCols, colDim - j * peCols);
     }
 
-    /** Cycles of fold (i, j); equals scheduleGemm()'s Fold::cycles. */
+    /** Cycles of fold (i, j). */
     std::int64_t cycles(std::int64_t i, std::int64_t j) const;
 
     /**
-     * Sum of all folds' cycles, equal to FoldSchedule::computeCycles():
-     * the partial row/column uses sum back to the full dimensions.
+     * Sum of all folds' cycles in closed form: the partial row/column
+     * uses sum back to the full dimensions.
      */
     std::int64_t computeCycles() const
     {
@@ -103,15 +75,6 @@ struct FoldGeometry
 
 /** Fold geometry of a GEMM on a given accelerator (config validated). */
 FoldGeometry foldGeometry(const nn::GemmShape &gemm,
-                          const AcceleratorConfig &config);
-
-/**
- * Build the fold schedule for a layer on a given accelerator.
- *
- * @param gemm   GEMM view of the layer.
- * @param config Accelerator configuration (array shape and dataflow).
- */
-FoldSchedule scheduleGemm(const nn::GemmShape &gemm,
                           const AcceleratorConfig &config);
 
 /**

@@ -63,12 +63,6 @@ missionClassFromName(const std::string &name, MissionClass &out)
 }
 
 bool
-MissionProfile::isDefaultPointToPoint() const
-{
-    return missionClass == MissionClass::PointToPoint && distanceM == 0.0;
-}
-
-bool
 MissionProfile::check(std::string &error) const
 {
     if (!finiteNonNegative(distanceM)) {

@@ -57,10 +57,6 @@ struct MissionProfile
     /// dropped at the midpoint, grams (> 0 for PayloadDelivery).
     double deliveryPayloadG = 0.0;
 
-    /// True for the parameterless point-to-point profile whose
-    /// evaluation is bit-identical to the legacy mission model.
-    bool isDefaultPointToPoint() const;
-
     /** Non-fatal validation; false with a diagnostic on bad fields. */
     bool check(std::string &error) const;
 

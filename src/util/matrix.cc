@@ -22,15 +22,6 @@ Matrix::identity(std::size_t n)
     return m;
 }
 
-Matrix
-Matrix::columnVector(const std::vector<double> &values)
-{
-    Matrix m(values.size(), 1, 0.0);
-    for (std::size_t i = 0; i < values.size(); ++i)
-        m(i, 0) = values[i];
-    return m;
-}
-
 double &
 Matrix::at(std::size_t r, std::size_t c)
 {

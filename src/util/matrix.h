@@ -33,9 +33,6 @@ class Matrix
     /** n x n identity matrix. */
     static Matrix identity(std::size_t n);
 
-    /** Column vector from values. */
-    static Matrix columnVector(const std::vector<double> &values);
-
     std::size_t rows() const { return numRows; }
     std::size_t cols() const { return numCols; }
 

@@ -124,8 +124,6 @@ class Histogram
     /** Arithmetic mean of the samples (0 when empty). */
     double mean() const;
 
-    const std::vector<double> &bucketBounds() const { return bounds; }
-
     /** Per-bucket counts; the last entry is the overflow bucket. */
     std::vector<std::uint64_t> bucketCounts() const;
 

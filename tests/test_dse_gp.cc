@@ -12,6 +12,7 @@
 
 #include "dse/design_space.h"
 #include "dse/gaussian_process.h"
+#include "reference/gaussian_process.h"
 #include "util/rng.h"
 
 namespace dse = autopilot::dse;

@@ -14,6 +14,7 @@
 
 #include "dse/hypervolume.h"
 #include "dse/pareto.h"
+#include "reference/hypervolume.h"
 #include "util/rng.h"
 
 namespace dse = autopilot::dse;
@@ -394,6 +395,17 @@ TEST(HypervolumeFastPath, GainBitIdenticalToContribution)
                     candidates.push_back(clipped);
                     clipped[d] = reference[d] * 2.0;
                     candidates.push_back(clipped);
+                }
+                // The points TieredBackend::shouldPromote scores: every
+                // member relaxed by (1 - band) on all three axes, at the
+                // adaptive clamp ends and the default band.
+                for (const double band : {0.005, 0.02, 0.10}) {
+                    for (const Objectives &member : points) {
+                        Objectives relaxed = member;
+                        for (double &component : relaxed)
+                            component *= 1.0 - band;
+                        candidates.push_back(relaxed);
+                    }
                 }
 
                 for (const Objectives &candidate : candidates) {

@@ -12,6 +12,7 @@
 #include "core/autopilot.h"
 #include "nn/e2e_template.h"
 #include "power/npu_power.h"
+#include "reference/systolic.h"
 #include "systolic/cycle_engine.h"
 #include "uav/mission.h"
 #include "uav/propulsion.h"

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "nn/e2e_template.h"
+#include "reference/systolic.h"
 #include "systolic/cycle_engine.h"
 #include "systolic/fold_stream.h"
 #include "systolic/memory.h"
@@ -340,7 +341,7 @@ TEST(FoldTimeline, JumpMatchesSteppingOnCorpus)
                 for (const nn::Layer &layer : model.layers()) {
                     const sys::LayerResult fast = engine.runLayer(layer);
                     const sys::LayerResult reference =
-                        engine.runLayerStepping(layer);
+                        sys::runLayerStepping(engine, layer);
                     if (!sameLayerResult(fast, reference)) {
                         ADD_FAILURE() << model.name() << " @ "
                                       << config.name();

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/layer.h"
+#include "reference/systolic.h"
 #include "systolic/functional.h"
 #include "systolic/tiling.h"
 #include "util/rng.h"

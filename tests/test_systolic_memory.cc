@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/layer.h"
+#include "reference/systolic.h"
 #include "systolic/memory.h"
 #include "systolic/tiling.h"
 

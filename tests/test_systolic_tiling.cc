@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/layer.h"
+#include "reference/systolic.h"
 #include "systolic/config.h"
 #include "systolic/tiling.h"
 
