@@ -12,12 +12,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <memory>
 #include <set>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "airlearning/rollout.h"
@@ -259,6 +261,74 @@ BM_GpFitPredict(benchmark::State &state)
 }
 BENCHMARK(BM_GpFitPredict)->Arg(32)->Arg(64)->Arg(128)->Complexity();
 
+/**
+ * GP posterior of a 256-query pool against an n-point fit with three
+ * targets (the BO screen's shape). BM_GpPredictBlock scores it in
+ * four-query predictBlock() calls, BM_GpPredictPerQuery with the
+ * one-query-at-a-time shared GP those replaced (the tests/reference/
+ * oracle). s_per_candidate is the time per scored query.
+ */
+template <typename Gp>
+void
+runGpPredict(benchmark::State &state)
+{
+    const std::size_t n = static_cast<std::size_t>(state.range(0));
+    util::Rng rng(0x6B + n);
+    auto point = [&] {
+        std::vector<double> x(7);
+        for (double &v : x)
+            v = rng.uniform();
+        return x;
+    };
+    std::vector<std::vector<double>> inputs;
+    std::vector<std::vector<double>> targets(3);
+    for (std::size_t i = 0; i < n; ++i) {
+        inputs.push_back(point());
+        for (std::vector<double> &column : targets)
+            column.push_back(rng.normal());
+    }
+    std::vector<std::vector<double>> pool;
+    for (int c = 0; c < 256; ++c)
+        pool.push_back(point());
+    Gp gp;
+    gp.fit(inputs, targets);
+
+    constexpr std::size_t lanes = dse::SharedGaussianProcess::kBlockLanes;
+    std::vector<dse::GpPrediction> out(lanes * 3);
+    for (auto _ : state) {
+        double sum = 0.0;
+        for (std::size_t first = 0; first < pool.size(); first += lanes) {
+            if constexpr (std::is_same_v<Gp, dse::SharedGaussianProcess>) {
+                gp.predictBlock(&pool[first], lanes, out.data());
+                for (std::size_t j = 0; j < lanes; ++j)
+                    sum += out[j * 3].variance;
+            } else {
+                for (std::size_t j = 0; j < lanes; ++j)
+                    sum += gp.predict(pool[first + j])[0].variance;
+            }
+        }
+        benchmark::DoNotOptimize(sum);
+    }
+    state.counters["s_per_candidate"] = benchmark::Counter(
+        static_cast<double>(pool.size()),
+        benchmark::Counter::kIsIterationInvariantRate |
+            benchmark::Counter::kInvert);
+}
+
+void
+BM_GpPredictBlock(benchmark::State &state)
+{
+    runGpPredict<dse::SharedGaussianProcess>(state);
+}
+BENCHMARK(BM_GpPredictBlock)->Arg(32)->Arg(100)->Arg(400);
+
+void
+BM_GpPredictPerQuery(benchmark::State &state)
+{
+    runGpPredict<dse::reference::SharedGaussianProcess>(state);
+}
+BENCHMARK(BM_GpPredictPerQuery)->Arg(32)->Arg(100)->Arg(400);
+
 void
 BM_Hypervolume3D(benchmark::State &state)
 {
@@ -419,7 +489,8 @@ BENCHMARK(BM_BatchEvaluate128)
  *    hypervolume gain of the LCB point against the current front);
  *  - hv_ms: the archive hypervolume the history update records.
  * BM_BoIteration runs the optimizer's path (one shared GP factor
- * extended by a row, one HypervolumeGain per iteration);
+ * extended by a row, the pool scored in four-query predictBlock() calls,
+ * one HypervolumeGain per iteration);
  * BM_BoIterationReference runs the path it replaced (three per-objective
  * GPs factorized from scratch, hypervolumeContribution per candidate).
  * Both score the same pool serially, so the two are comparable.
@@ -498,13 +569,24 @@ runBoIteration(benchmark::State &state)
             start = std::chrono::steady_clock::now();
             const dse::HypervolumeGain gain(fixture.front,
                                             fixture.reference);
-            for (const std::vector<double> &features : fixture.pool) {
-                const std::vector<dse::GpPrediction> predictions =
-                    gp.predict(features);
-                dse::Objectives lcb(3);
-                for (std::size_t d = 0; d < 3; ++d)
-                    lcb[d] = predictions[d].mean - predictions[d].stddev();
-                sum += gain.contribution(lcb);
+            constexpr std::size_t lanes =
+                dse::SharedGaussianProcess::kBlockLanes;
+            std::vector<dse::GpPrediction> predictions(lanes * 3);
+            for (std::size_t first = 0; first < fixture.pool.size();
+                 first += lanes) {
+                const std::size_t count =
+                    std::min(lanes, fixture.pool.size() - first);
+                gp.predictBlock(&fixture.pool[first], count,
+                                predictions.data());
+                for (std::size_t j = 0; j < count; ++j) {
+                    dse::Objectives lcb(3);
+                    for (std::size_t d = 0; d < 3; ++d) {
+                        const dse::GpPrediction &p =
+                            predictions[j * 3 + d];
+                        lcb[d] = p.mean - p.stddev();
+                    }
+                    sum += gain.contribution(lcb);
+                }
             }
             screen_s += secondsSince(start);
         } else {

@@ -8,11 +8,14 @@
  *
  *  - Hypervolume gain: HypervolumeGain built once per front against
  *    hypervolumeContribution() per candidate.
- *  - GP posterior: one SharedGaussianProcess (one factor, one kernel
- *    column and one variance solve per query) against three
- *    per-objective GaussianProcess models.
+ *  - GP posterior: one SharedGaussianProcess scoring the pool in
+ *    four-query predictBlock() calls (one factor, four interleaved
+ *    kernel columns and forward solves per block) against three
+ *    per-objective GaussianProcess models, and against the shared GP
+ *    answering one query at a time. Blocks of every size 1..4 must be
+ *    bit-identical to the per-objective models.
  *
- * Both references come from the test-only reference library
+ * The references come from the test-only reference library
  * (tests/reference/).
  *
  * The front, targets and pool come from a real Phase 2 archive of the
@@ -113,25 +116,35 @@ main()
         models[d].fit(inputs, targets[d]);
     dse::SharedGaussianProcess shared;
     shared.fit(inputs, targets);
+    dse::reference::SharedGaussianProcess perQuery;
+    perQuery.fit(inputs, targets);
 
-    std::vector<dse::Objectives> lcbs;
-    for (std::size_t c = 0; c < pool.size(); ++c) {
-        const std::vector<dse::GpPrediction> fast = shared.predict(pool[c]);
-        dse::Objectives lcb(3);
-        for (std::size_t d = 0; d < 3; ++d) {
-            const dse::GpPrediction slow = models[d].predict(pool[c]);
-            if (!sameBits(fast[d].mean, slow.mean) ||
-                !sameBits(fast[d].variance, slow.variance)) {
-                std::fprintf(stderr,
-                             "bo_perf_smoke: shared GP differs from the "
-                             "per-objective GP at candidate %zu, "
-                             "objective %zu\n",
-                             c, d);
-                return 1;
+    constexpr std::size_t lanes = dse::SharedGaussianProcess::kBlockLanes;
+    std::vector<dse::GpPrediction> block(lanes * 3);
+    std::vector<dse::Objectives> lcbs(pool.size(), dse::Objectives(3));
+    for (std::size_t count = 1; count <= lanes; ++count) {
+        for (std::size_t first = 0; first < pool.size(); first += count) {
+            const std::size_t used = std::min(count, pool.size() - first);
+            shared.predictBlock(&pool[first], used, block.data());
+            for (std::size_t j = 0; j < used; ++j) {
+                const std::size_t c = first + j;
+                for (std::size_t d = 0; d < 3; ++d) {
+                    const dse::GpPrediction &fast = block[j * 3 + d];
+                    const dse::GpPrediction slow = models[d].predict(pool[c]);
+                    if (!sameBits(fast.mean, slow.mean) ||
+                        !sameBits(fast.variance, slow.variance)) {
+                        std::fprintf(stderr,
+                                     "bo_perf_smoke: predictBlock (%zu "
+                                     "queries) differs from the "
+                                     "per-objective GP at candidate %zu, "
+                                     "objective %zu\n",
+                                     used, c, d);
+                        return 1;
+                    }
+                    lcbs[c][d] = slow.mean - slow.stddev();
+                }
             }
-            lcb[d] = slow.mean - slow.stddev();
         }
-        lcbs.push_back(lcb);
     }
 
     // Hypervolume gain: one precomputed sweep against the reference.
@@ -167,9 +180,16 @@ main()
             for (const dse::GaussianProcess &model : models)
                 sink += model.predict(features).mean;
     });
-    const double gpFast = bestOf(kRepeats, [&] {
+    const double gpPerQuery = bestOf(kRepeats, [&] {
         for (const std::vector<double> &features : pool)
-            sink += shared.predict(features)[0].mean;
+            sink += perQuery.predict(features)[0].mean;
+    });
+    const double gpFast = bestOf(kRepeats, [&] {
+        for (std::size_t first = 0; first < pool.size(); first += lanes) {
+            const std::size_t used = std::min(lanes, pool.size() - first);
+            shared.predictBlock(&pool[first], used, block.data());
+            sink += block[0].mean;
+        }
     });
 
     std::printf("bo_perf_smoke: front %zu, %zu candidates (%zu gain "
@@ -179,8 +199,10 @@ main()
                 "precomputed %.3f ms, speedup %.1fx\n",
                 hvSlow * 1e3, hvFast * 1e3, hvSlow / hvFast);
     std::printf("bo_perf_smoke: GP posterior per-objective %.3f ms, "
-                "shared factor %.3f ms, speedup %.1fx\n",
-                gpSlow * 1e3, gpFast * 1e3, gpSlow / gpFast);
+                "shared one query at a time %.3f ms, four-query blocks "
+                "%.3f ms, speedup %.1fx / %.1fx\n",
+                gpSlow * 1e3, gpPerQuery * 1e3, gpFast * 1e3,
+                gpSlow / gpFast, gpPerQuery / gpFast);
 
     bool ok = true;
     if (hvFast >= hvSlow) {
@@ -191,6 +213,11 @@ main()
     if (gpFast >= gpSlow) {
         std::fprintf(stderr, "bo_perf_smoke: FAIL - the shared GP is not "
                              "faster than per-objective GPs\n");
+        ok = false;
+    }
+    if (gpFast >= gpPerQuery) {
+        std::fprintf(stderr, "bo_perf_smoke: FAIL - four-query blocks are "
+                             "not faster than one query at a time\n");
         ok = false;
     }
     if (!ok)

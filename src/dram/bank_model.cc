@@ -38,6 +38,22 @@ BankModel::BankModel(const DramTiming &config)
                       timing.tRefiCycles <= 0,
                   "BankModel: degenerate timing - validate the DramSpec "
                   "before simulating");
+    rowBytes = FixedDivisor(timing.rowBytes);
+    banks = FixedDivisor(timing.banks);
+    burstBytes = FixedDivisor(timing.burstBytes);
+    width = FixedDivisor(0); // No width yet: the first call sets it.
+}
+
+void
+BankModel::useWidth(std::int64_t bytesPerCycle)
+{
+    if (bytesPerCycle == width.divisor())
+        return;
+    width = FixedDivisor(bytesPerCycle);
+    std::int64_t latency = timing.tCasCycles;
+    if (timing.rowPolicy == RowPolicy::Closed)
+        latency += timing.tRcdCycles; // Every run burst is a miss.
+    runCost = FixedDivisor(latency + width.ceil(timing.burstBytes));
 }
 
 std::int64_t
@@ -45,6 +61,7 @@ BankModel::service(std::int64_t addr, std::int64_t bytes,
                    std::int64_t start, std::int64_t bytesPerCycle,
                    ChannelStats &stats)
 {
+    useWidth(bytesPerCycle);
     // Refresh is all-bank: catch up on every interval boundary the
     // channel slept through, close the rows, and push the request past
     // the stall when it lands inside one.
@@ -59,10 +76,10 @@ BankModel::service(std::int64_t addr, std::int64_t bytes,
     }
 
     // floor(floor(a / R) / B) == floor(a / (R * B)) for a >= 0.
-    const std::int64_t rowIndex = addr / timing.rowBytes;
+    const std::int64_t rowIndex = rowBytes.quotient(addr);
     const std::size_t bank =
-        static_cast<std::size_t>(rowIndex % timing.banks);
-    const std::int64_t row = rowIndex / timing.banks;
+        static_cast<std::size_t>(banks.remainder(rowIndex));
+    const std::int64_t row = banks.quotient(rowIndex);
 
     std::int64_t latency = timing.tCasCycles;
     if (openRow[bank] == row) {
@@ -84,9 +101,7 @@ BankModel::service(std::int64_t addr, std::int64_t bytes,
         ++stats.precharges;
     }
 
-    const std::int64_t transfer =
-        (bytes + bytesPerCycle - 1) / bytesPerCycle;
-    return start + latency + transfer;
+    return start + latency + width.ceil(bytes);
 }
 
 std::int64_t
@@ -96,28 +111,23 @@ BankModel::serviceRun(std::int64_t addr, std::int64_t maxBursts,
 {
     if (maxBursts <= 0 || cycle >= nextRefresh)
         return 0;
-    const std::int64_t burst = timing.burstBytes;
-    std::int64_t latency = timing.tCasCycles;
+    useWidth(bytesPerCycle);
     std::int64_t bursts = maxBursts;
     if (timing.rowPolicy == RowPolicy::Open) {
         // Hits only: the burst must start in its bank's open row, and
         // so must every later burst that starts in the same row.
-        const std::int64_t rowIndex = addr / timing.rowBytes;
+        const std::int64_t rowIndex = rowBytes.quotient(addr);
         const std::size_t bank =
-            static_cast<std::size_t>(rowIndex % timing.banks);
-        if (openRow[bank] != rowIndex / timing.banks)
+            static_cast<std::size_t>(banks.remainder(rowIndex));
+        if (openRow[bank] != banks.quotient(rowIndex))
             return 0;
         const std::int64_t rowEnd = (rowIndex + 1) * timing.rowBytes;
-        bursts = std::min(bursts, (rowEnd - addr + burst - 1) / burst);
-    } else {
-        // Closed: every row is precharged, so every burst is a miss.
-        latency += timing.tRcdCycles;
+        bursts = std::min(bursts, burstBytes.ceil(rowEnd - addr));
     }
-    const std::int64_t cost =
-        latency + (burst + bytesPerCycle - 1) / bytesPerCycle;
-    // Burst k starts at cycle + k * cost and must start before the
-    // refresh deadline.
-    bursts = std::min(bursts, (nextRefresh - cycle + cost - 1) / cost);
+    // Closed: every row is precharged, so every burst is a miss; the
+    // run cost holds tRCD then. Burst k starts at cycle + k * cost and
+    // must start before the refresh deadline.
+    bursts = std::min(bursts, runCost.ceil(nextRefresh - cycle));
 
     if (timing.rowPolicy == RowPolicy::Open) {
         stats.rowHits += bursts;
@@ -126,7 +136,7 @@ BankModel::serviceRun(std::int64_t addr, std::int64_t maxBursts,
         stats.activates += bursts;
         stats.precharges += bursts;
     }
-    cycle += bursts * cost;
+    cycle += bursts * runCost.divisor();
     return bursts;
 }
 

@@ -25,6 +25,7 @@
 #ifndef AUTOPILOT_DRAM_BANK_MODEL_H
 #define AUTOPILOT_DRAM_BANK_MODEL_H
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -81,6 +82,53 @@ struct ChannelStats
     void accumulate(const ChannelStats &other);
 };
 
+/**
+ * Quotient and remainder of a non-negative dividend by a positive
+ * divisor fixed for a channel's life (row size, bank count, burst size,
+ * channel width, a run's cost): a shift and a mask when the divisor is a
+ * power of two, plain / and % otherwise. Exact either way; the burst
+ * path divides by these constants on every request, and a 64-bit divide
+ * costs tens of cycles.
+ */
+class FixedDivisor
+{
+  public:
+    explicit FixedDivisor(std::int64_t divisor = 1)
+        : value(divisor),
+          shift(std::has_single_bit(static_cast<std::uint64_t>(divisor))
+                    ? std::countr_zero(static_cast<std::uint64_t>(divisor))
+                    : -1)
+    {
+    }
+
+    std::int64_t divisor() const { return value; }
+
+    /** floor(a / divisor) for a >= 0. */
+    std::int64_t
+    quotient(std::int64_t a) const
+    {
+        return shift >= 0 ? a >> shift : a / value;
+    }
+
+    /** a mod divisor for a >= 0. */
+    std::int64_t
+    remainder(std::int64_t a) const
+    {
+        return shift >= 0 ? a & (value - 1) : a % value;
+    }
+
+    /** ceil(a / divisor) for a >= 0. */
+    std::int64_t
+    ceil(std::int64_t a) const
+    {
+        return quotient(a + value - 1);
+    }
+
+  private:
+    std::int64_t value;
+    int shift; ///< log2(divisor), or -1 when not a power of two.
+};
+
 /** Bank state machines + refresh for one channel. */
 class BankModel
 {
@@ -117,9 +165,18 @@ class BankModel
                             ChannelStats &stats);
 
   private:
+    /// Rederive the width-dependent constants when @p bytesPerCycle
+    /// differs from the last call's (a timeline passes one width).
+    void useWidth(std::int64_t bytesPerCycle);
+
     DramTiming timing;
     std::vector<std::int64_t> openRow; ///< Per bank; -1 = precharged.
     std::int64_t nextRefresh;
+    FixedDivisor rowBytes;
+    FixedDivisor banks;
+    FixedDivisor burstBytes;
+    FixedDivisor width;   ///< Channel bytes per cycle.
+    FixedDivisor runCost; ///< One serviceRun() burst: hit or miss cost.
 };
 
 } // namespace autopilot::dram

@@ -40,7 +40,7 @@ constexpr double kSourceFifoBursts = 8.0;
 ChannelTimeline::ChannelTimeline(const DramSpec &spec,
                                  const systolic::AcceleratorConfig &config)
     : spec_(spec), bytesPerCycle(config.dramBytesPerCycle),
-      banks(spec.timing)
+      burstBytes(spec.timing.burstBytes), banks(spec.timing)
 {
     spec_.validate();
     util::fatalIf(bytesPerCycle <= 0,
@@ -76,6 +76,9 @@ ChannelTimeline::ChannelTimeline(const DramSpec &spec,
             static_cast<double>(spec_.timing.burstBytes) * cyclesPerSec /
             generator.bytesPerSec;
         state.nextArrival = state.interArrivalCycles;
+        state.window = FixedDivisor(generator.addressRange);
+        state.slots = FixedDivisor(generator.addressRange /
+                                   spec_.timing.burstBytes);
         state.rng = generator.seed;
         state.statsIndex = stats_.generators.size();
         stats_.generators.push_back({generator.name, 0, 0});
@@ -106,14 +109,13 @@ ChannelTimeline::serviceGenerator(GeneratorState &generator)
             // Jump to a random burst-aligned slot; the stream then
             // continues linearly from there until the next jump.
             generator.rng = lcgNext(generator.rng);
-            const std::uint64_t slots = static_cast<std::uint64_t>(
-                gen.addressRange / burst);
-            generator.offset = static_cast<std::int64_t>(
-                (generator.rng >> 11) % slots) * burst;
+            const std::int64_t draw =
+                static_cast<std::int64_t>(generator.rng >> 11);
+            generator.offset = generator.slots.remainder(draw) * burst;
         }
     }
     const std::int64_t addr =
-        gen.addressBase + generator.offset % gen.addressRange;
+        gen.addressBase + generator.window.remainder(generator.offset);
     generator.offset += gen.strideBytes;
 
     const std::int64_t arrival = static_cast<std::int64_t>(
@@ -164,13 +166,13 @@ ChannelTimeline::transfer(std::int64_t earliestStart, std::int64_t bytes,
     std::int64_t remaining = bytes;
     std::int64_t done = std::max(channelFree, earliestStart);
     std::int64_t &npuAddr = write ? npuWriteAddr : npuReadAddr;
-    const std::int64_t burstBytes = spec_.timing.burstBytes;
     while (remaining > 0) {
-        std::int64_t bursts = banks.serviceRun(
-            npuAddr, remaining / burstBytes, done, bytesPerCycle, stats_);
-        std::int64_t moved = bursts * burstBytes;
+        std::int64_t bursts =
+            banks.serviceRun(npuAddr, burstBytes.quotient(remaining), done,
+                             bytesPerCycle, stats_);
+        std::int64_t moved = bursts * burstBytes.divisor();
         if (bursts == 0) {
-            moved = std::min(remaining, burstBytes);
+            moved = std::min(remaining, burstBytes.divisor());
             done = banks.service(npuAddr, moved, done, bytesPerCycle,
                                  stats_);
             bursts = 1;

@@ -26,6 +26,8 @@
  * by BankModel::serviceRun; only row heads, partial tails, refresh
  * crossings and background bursts go through BankModel::service one at
  * a time. Completions and stats equal the per-burst channel's exactly.
+ * Every division on the burst path is by a constant of the timeline
+ * (FixedDivisor: a shift and a mask for a power of two).
  *
  * Everything is integer/fixed-seed arithmetic on one thread; two
  * timelines built from the same spec and fed the same transfer sequence
@@ -79,6 +81,8 @@ class ChannelTimeline
         double interArrivalCycles = 0.0;
         double nextArrival = 0.0;
         std::int64_t offset = 0; ///< Linear walk position in the window.
+        FixedDivisor window;     ///< addressRange.
+        FixedDivisor slots;      ///< Burst-aligned slots in the window.
         std::uint64_t rng = 0;
         std::size_t statsIndex = 0;
     };
@@ -93,6 +97,7 @@ class ChannelTimeline
 
     DramSpec spec_;
     std::int64_t bytesPerCycle;
+    FixedDivisor burstBytes;
     BankModel banks;
     std::int64_t channelFree = 0;
     /// NPU stream walk positions: reads from the model/weight region,

@@ -1,6 +1,7 @@
 #include "dse/bayesopt.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <limits>
 #include <set>
@@ -116,11 +117,12 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
         if (pool.empty())
             break; // Space exhausted around the archive.
 
-        // Score the pool with the SMS-EGO acquisition, screening the
-        // candidates in parallel on the evaluator's pool. Each score is
-        // a pure function of one candidate, so the ranking (and thus
-        // the whole search trajectory) is identical across thread
-        // counts.
+        // Score the pool with the SMS-EGO acquisition, screening blocks
+        // of four candidates in parallel on the evaluator's pool (one GP
+        // pass per block, see SharedGaussianProcess::predictBlock). Each
+        // score is a pure function of one candidate, bit-identical to
+        // predicting it alone, so the ranking (and thus the whole search
+        // trajectory) is identical across thread counts.
         std::vector<double> scores(pool.size());
         const std::int64_t screen_start =
             telemetry.enabled() ? telemetry.trace().nowUs() : 0;
@@ -128,37 +130,49 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
             telemetry.enabled()
                 ? &telemetry.metrics().histogram("bo.screen_s")
                 : nullptr);
-        util::parallel_for(
-            evaluator.threadPool(), pool.size(), [&](std::size_t c) {
-                const std::vector<double> features =
-                    space.features(pool[c]);
-                const std::vector<GpPrediction> predictions =
-                    models.predict(features);
-                Objectives lcb(num_objectives, 0.0);
-                for (std::size_t d = 0; d < num_objectives; ++d) {
-                    lcb[d] = predictions[d].mean -
-                             cfg.confidenceGain * predictions[d].stddev();
-                }
+        auto score = [&](const GpPrediction *predictions) {
+            Objectives lcb(num_objectives, 0.0);
+            for (std::size_t d = 0; d < num_objectives; ++d) {
+                lcb[d] = predictions[d].mean -
+                         cfg.confidenceGain * predictions[d].stddev();
+            }
 
-                double score = gain.contribution(lcb);
-                if (score <= 0.0) {
-                    // Epsilon-dominated candidate: penalty grows with
-                    // how far inside the dominated region the LCB point
-                    // lies.
-                    double worst_excess = 0.0;
-                    for (const Objectives &member : front) {
-                        if (!epsilonDominates(member, lcb, cfg.epsilon))
-                            continue;
-                        double excess = 0.0;
-                        for (std::size_t d = 0; d < num_objectives; ++d)
-                            excess += std::max(0.0, lcb[d] - member[d]);
-                        worst_excess = std::max(worst_excess, excess);
-                    }
-                    score = -worst_excess;
+            double value = gain.contribution(lcb);
+            if (value <= 0.0) {
+                // Epsilon-dominated candidate: penalty grows with how
+                // far inside the dominated region the LCB point lies.
+                double worst_excess = 0.0;
+                for (const Objectives &member : front) {
+                    if (!epsilonDominates(member, lcb, cfg.epsilon))
+                        continue;
+                    double excess = 0.0;
+                    for (std::size_t d = 0; d < num_objectives; ++d)
+                        excess += std::max(0.0, lcb[d] - member[d]);
+                    worst_excess = std::max(worst_excess, excess);
                 }
-                scores[c] = score;
+                value = -worst_excess;
+            }
+            return value;
+        };
+        constexpr std::size_t lanes = SharedGaussianProcess::kBlockLanes;
+        util::parallel_for(
+            evaluator.threadPool(), (pool.size() + lanes - 1) / lanes,
+            [&](std::size_t block) {
+                const std::size_t first = block * lanes;
+                const std::size_t count =
+                    std::min(lanes, pool.size() - first);
+                std::array<std::vector<double>, lanes> features;
+                for (std::size_t j = 0; j < count; ++j)
+                    features[j] = space.features(pool[first + j]);
+                std::vector<GpPrediction> predictions(count *
+                                                      num_objectives);
+                models.predictBlock(features.data(), count,
+                                    predictions.data());
+                for (std::size_t j = 0; j < count; ++j)
+                    scores[first + j] =
+                        score(&predictions[j * num_objectives]);
             },
-            /*grain=*/4);
+            /*grain=*/1);
         screen_timer.stop();
         if (telemetry.enabled()) {
             telemetry.trace().record(

@@ -12,13 +12,15 @@
  * different scales (success fraction vs. watts vs. milliseconds).
  *
  * SharedGaussianProcess fits every objective's GP over one shared
- * Cholesky factor. The per-objective GaussianProcess it is checked
- * against bit for bit is test code (tests/reference/).
+ * Cholesky factor and answers queries in blocks of four. The
+ * per-objective GaussianProcess and the one-query-at-a-time shared GP
+ * it is checked against bit for bit are test code (tests/reference/).
  */
 
 #ifndef AUTOPILOT_DSE_GAUSSIAN_PROCESS_H
 #define AUTOPILOT_DSE_GAUSSIAN_PROCESS_H
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
@@ -60,6 +62,11 @@ struct GpParams
  * fit() on inputs that extend the previous fit's inputs (an append-only
  * archive) extends the factor by the new rows instead of refactorizing,
  * which is also bit-identical (see util::CholeskyFactor).
+ *
+ * predictBlock() answers up to four queries in one pass over L and each
+ * alpha. Every query's numbers still come from its own chains of
+ * operations, in the lone query's order; the four chains only run side
+ * by side, which hides the add latency of the forward solve.
  */
 class SharedGaussianProcess
 {
@@ -84,9 +91,23 @@ class SharedGaussianProcess
     /** Factor rows the last fit() kept from the fit before it. */
     std::size_t reusedRows() const { return lastReusedRows; }
 
+    /** Number of targets (objectives) of the last fit(). */
+    std::size_t targets() const { return fits.size(); }
+
     /** Posterior of every target at a query point, in target order. */
     std::vector<GpPrediction>
     predict(const std::vector<double> &query) const;
+
+    /** Queries one predictBlock() call scores together. */
+    static constexpr std::size_t kBlockLanes = 4;
+
+    /**
+     * Posteriors of @p count (1..kBlockLanes) queries: query j's
+     * posterior of target t lands in out[j * targets() + t]. Each one is
+     * bit-identical to predict() of that query alone.
+     */
+    void predictBlock(const std::vector<double> *queries, std::size_t count,
+                      GpPrediction *out) const;
 
   private:
     struct Target

@@ -126,19 +126,11 @@ CholeskyFactor::appendRows(const Matrix &rows)
     factor = std::move(grown);
 }
 
-std::vector<double>
-CholeskyFactor::solveLower(const std::vector<double> &b) const
-{
-    std::vector<double> y = b;
-    solveLowerInPlace(y);
-    return y;
-}
-
 void
 CholeskyFactor::solveLowerInPlace(std::vector<double> &b) const
 {
     const std::size_t n = factor.rows();
-    panicIf(b.size() != n, "CholeskyFactor::solveLower: size mismatch");
+    panicIf(b.size() != n, "CholeskyFactor::solveLowerInPlace: size mismatch");
     for (std::size_t i = 0; i < n; ++i) {
         double sum = b[i];
         for (std::size_t k = 0; k < i; ++k)
@@ -151,7 +143,8 @@ std::vector<double>
 CholeskyFactor::solve(const std::vector<double> &b) const
 {
     const std::size_t n = factor.rows();
-    std::vector<double> y = solveLower(b);
+    std::vector<double> y = b;
+    solveLowerInPlace(y);
     // Back substitution against L^T.
     std::vector<double> x(n, 0.0);
     for (std::size_t ii = n; ii-- > 0;) {

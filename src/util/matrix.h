@@ -50,6 +50,9 @@ class Matrix
         return data[r * numCols + c];
     }
 
+    /** Row @p r as a contiguous array of cols() values (unchecked). */
+    const double *row(std::size_t r) const { return &data[r * numCols]; }
+
     /** Matrix product this * other. @pre cols() == other.rows(). */
     Matrix multiply(const Matrix &other) const;
 
@@ -110,10 +113,7 @@ class CholeskyFactor
     /** Solve A x = b via forward/back substitution. */
     std::vector<double> solve(const std::vector<double> &b) const;
 
-    /** Solve L y = b (forward substitution only). */
-    std::vector<double> solveLower(const std::vector<double> &b) const;
-
-    /** solveLower() overwriting @p b with y. */
+    /** Solve L y = b (forward substitution only), overwriting @p b. */
     void solveLowerInPlace(std::vector<double> &b) const;
 
     /** log(det(A)) = 2 * sum(log(L_ii)), useful for GP likelihoods. */

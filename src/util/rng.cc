@@ -7,17 +7,6 @@
 namespace autopilot::util
 {
 
-namespace
-{
-
-inline std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
-} // namespace
-
 std::uint64_t
 SplitMix64::next()
 {
@@ -32,35 +21,6 @@ Rng::Rng(std::uint64_t seed)
     SplitMix64 sm(seed);
     for (auto &word : state)
         word = sm.next();
-}
-
-std::uint64_t
-Rng::next64()
-{
-    const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
-    const std::uint64_t t = state[1] << 17;
-
-    state[2] ^= state[0];
-    state[3] ^= state[1];
-    state[1] ^= state[2];
-    state[0] ^= state[3];
-    state[2] ^= t;
-    state[3] = rotl(state[3], 45);
-
-    return result;
-}
-
-double
-Rng::uniform()
-{
-    // 53 high bits -> double in [0, 1).
-    return (next64() >> 11) * 0x1.0p-53;
-}
-
-double
-Rng::uniform(double lo, double hi)
-{
-    return lo + (hi - lo) * uniform();
 }
 
 int
@@ -101,12 +61,6 @@ double
 Rng::normal(double mean, double stddev)
 {
     return mean + stddev * normal();
-}
-
-bool
-Rng::bernoulli(double p)
-{
-    return uniform() < p;
 }
 
 Rng

@@ -57,13 +57,36 @@ class Rng
     result_type operator()() { return next64(); }
 
     /** Next raw 64-bit sample. */
-    std::uint64_t next64();
+    std::uint64_t
+    next64()
+    {
+        const std::uint64_t result = rotl(state[1] * 5, 7) * 9;
+        const std::uint64_t t = state[1] << 17;
+
+        state[2] ^= state[0];
+        state[3] ^= state[1];
+        state[1] ^= state[2];
+        state[0] ^= state[3];
+        state[2] ^= t;
+        state[3] = rotl(state[3], 45);
+
+        return result;
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 high bits -> double in [0, 1).
+        return (next64() >> 11) * 0x1.0p-53;
+    }
 
     /** Uniform double in [lo, hi). */
-    double uniform(double lo, double hi);
+    double
+    uniform(double lo, double hi)
+    {
+        return lo + (hi - lo) * uniform();
+    }
 
     /** Uniform integer in [lo, hi] (inclusive). */
     int uniformInt(int lo, int hi);
@@ -78,7 +101,7 @@ class Rng
     double normal(double mean, double stddev);
 
     /** Bernoulli trial with success probability p. */
-    bool bernoulli(double p);
+    bool bernoulli(double p) { return uniform() < p; }
 
     /**
      * Derive an independent child generator.
@@ -102,6 +125,12 @@ class Rng
     }
 
   private:
+    static std::uint64_t
+    rotl(std::uint64_t x, int k)
+    {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::array<std::uint64_t, 4> state;
     bool hasSpareNormal = false;
     double spareNormal = 0.0;

@@ -8,12 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "airlearning/database.h"
 #include "airlearning/environment.h"
 #include "airlearning/policy.h"
 #include "airlearning/rollout.h"
 #include "airlearning/trainer.h"
+#include "reference/rollout.h"
 
 namespace al = autopilot::airlearning;
 namespace nn = autopilot::nn;
@@ -224,6 +227,129 @@ TEST(Rollout, OutcomeCountsAreConsistent)
               result.episodes);
     EXPECT_GE(result.successRate(), 0.0);
     EXPECT_LE(result.successRate(), 1.0);
+}
+
+// The one-distance-pass rollout against a verbatim copy of the
+// three-pass one it replaced (tests/reference/rollout.h): every field of
+// every EpisodeResult bitwise, and the episode stream's next draw.
+
+namespace
+{
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void
+expectEpisodeMatchesReference(const al::Environment &env,
+                              const al::PolicyCapability &capability,
+                              const al::RolloutConfig &config,
+                              std::uint64_t seed)
+{
+    Rng fast_rng(seed);
+    Rng slow_rng(seed);
+    const al::EpisodeResult fast =
+        al::runEpisode(env, capability, config, fast_rng);
+    const al::EpisodeResult slow =
+        al::reference::runEpisode(env, capability, config, slow_rng);
+    EXPECT_TRUE(fast.outcome == slow.outcome && fast.steps == slow.steps &&
+                sameBits(fast.pathLengthM, slow.pathLengthM) &&
+                sameBits(fast.minClearanceM, slow.minClearanceM) &&
+                fast_rng.next64() == slow_rng.next64())
+        << "quality " << capability.quality << ", wind "
+        << config.windSigmaM << ", seed " << seed << ", "
+        << env.obstacles.size() << " obstacles";
+}
+
+} // namespace
+
+TEST(Rollout, EpisodesMatchReferenceBitwise)
+{
+    for (al::ObstacleDensity density :
+         {al::ObstacleDensity::Low, al::ObstacleDensity::Medium,
+          al::ObstacleDensity::Dense}) {
+        const al::EnvironmentGenerator generator(
+            al::EnvironmentConfig::forDensity(density));
+        for (int q = 0; q <= 20; ++q) {
+            const auto capability =
+                al::PolicyCapability::fromQuality(q / 20.0);
+            for (double wind : {0.0, 0.05, 0.2}) {
+                al::RolloutConfig config;
+                config.windSigmaM = wind;
+                for (std::uint64_t seed = 0; seed < 40; ++seed) {
+                    Rng env_rng(1000 + seed);
+                    expectEpisodeMatchesReference(
+                        generator.generate(env_rng), capability, config,
+                        seed);
+                }
+            }
+        }
+    }
+}
+
+TEST(Rollout, EvaluatePolicyMatchesReferenceBitwise)
+{
+    for (al::ObstacleDensity density :
+         {al::ObstacleDensity::Low, al::ObstacleDensity::Medium,
+          al::ObstacleDensity::Dense}) {
+        const auto env_config = al::EnvironmentConfig::forDensity(density);
+        for (int q = 0; q <= 20; ++q) {
+            const auto capability =
+                al::PolicyCapability::fromQuality(q / 20.0);
+            for (double wind : {0.0, 0.05, 0.2}) {
+                al::RolloutConfig config;
+                config.windSigmaM = wind;
+                const al::EvaluationResult fast =
+                    al::evaluatePolicy(env_config, capability, 20, q, config);
+                const al::EvaluationResult slow = al::reference::evaluatePolicy(
+                    env_config, capability, 20, q, config);
+                EXPECT_TRUE(fast.episodes == slow.episodes &&
+                            fast.successes == slow.successes &&
+                            fast.collisions == slow.collisions &&
+                            fast.timeouts == slow.timeouts &&
+                            sameBits(fast.meanPathLengthM,
+                                     slow.meanPathLengthM))
+                    << "quality " << q / 20.0 << ", wind " << wind;
+            }
+        }
+    }
+}
+
+TEST(Rollout, EmptyAndCrowdedArenasMatchReference)
+{
+    // No obstacles (clearance is the arena size), and more obstacles
+    // than the rollout keeps on the stack (40, some camouflaged).
+    al::Environment empty;
+    empty.start = {2.0, 2.0};
+    empty.goal = {27.0, 25.0};
+    al::Environment crowded = empty;
+    Rng layout(17);
+    while (crowded.obstacles.size() < 40) {
+        al::Obstacle obstacle;
+        obstacle.x = layout.uniform(0.0, crowded.arenaSize);
+        obstacle.y = layout.uniform(0.0, crowded.arenaSize);
+        obstacle.radius = layout.uniform(0.3, 1.2);
+        obstacle.camouflaged = layout.bernoulli(0.2);
+        const double start_dx = obstacle.x - crowded.start.x;
+        const double start_dy = obstacle.y - crowded.start.y;
+        if (std::hypot(start_dx, start_dy) > obstacle.radius + 1.0)
+            crowded.obstacles.push_back(obstacle);
+    }
+    for (const al::Environment *env : {&empty, &crowded}) {
+        for (double quality : {0.1, 0.5, 0.9}) {
+            const auto capability =
+                al::PolicyCapability::fromQuality(quality);
+            for (double wind : {0.0, 0.2}) {
+                al::RolloutConfig config;
+                config.windSigmaM = wind;
+                for (std::uint64_t seed = 0; seed < 20; ++seed)
+                    expectEpisodeMatchesReference(*env, capability, config,
+                                                  seed);
+            }
+        }
+    }
 }
 
 class RolloutMonotonicity

@@ -403,6 +403,36 @@ struct ChannelPair
 
 // ------------------------------------------------------------ bank model ----
 
+TEST(FixedDivisor, MatchesPlainDivision)
+{
+    // Powers of two take the shift-and-mask path, the rest plain / and
+    // %; both must equal the built-in operators on non-negative values.
+    std::vector<std::int64_t> divisors;
+    for (std::int64_t d = 1; d <= 70; ++d)
+        divisors.push_back(d);
+    for (std::int64_t d : {1536ll, 2048ll, 1ll << 20, 64ll << 20,
+                           (64ll << 20) / 48, (1ll << 40) + 3})
+        divisors.push_back(d);
+    util::Rng rng(0xD1u);
+    for (const std::int64_t d : divisors) {
+        const dram::FixedDivisor fixed(d);
+        EXPECT_EQ(fixed.divisor(), d);
+        std::vector<std::int64_t> dividends = {0, 1, d - 1, d, d + 1,
+                                               3 * d + 2};
+        for (int i = 0; i < 50; ++i)
+            dividends.push_back(
+                static_cast<std::int64_t>(rng.next64() >> 2));
+        for (const std::int64_t a : dividends) {
+            ASSERT_EQ(fixed.quotient(a), a / d) << a << " / " << d;
+            ASSERT_EQ(fixed.remainder(a), a % d) << a << " % " << d;
+            if (a <= (1ll << 61)) {
+                ASSERT_EQ(fixed.ceil(a), (a + d - 1) / d)
+                    << "ceil " << a << " / " << d;
+            }
+        }
+    }
+}
+
 TEST(BankModel, ClassifiesHitMissConflictWithCommandTiming)
 {
     const dram::DramTiming timing = labTiming();
@@ -727,6 +757,10 @@ channelCases()
     // and closed-row runs are cut by refresh again and again.
     dram::DramTiming shortRefresh = labTiming();
     shortRefresh.tRefiCycles = 400;
+    dram::DramTiming oddGeometry;
+    oddGeometry.banks = 6;
+    oddGeometry.rowBytes = 1536;
+    oddGeometry.burstBytes = 48;
     return {
         {"uav-open", dram::uavDramSpec(dram::DramTiming{}, 400e6, 200e6),
          32},
@@ -738,6 +772,9 @@ channelCases()
         // ceil(64 / 24) = 3: the burst transfer time rounds up.
         {"uav-open-24B", dram::uavDramSpec(dram::DramTiming{}, 400e6, 200e6),
          24},
+        // No power of two in the geometry or the width: every fixed
+        // divisor takes its plain-division path.
+        {"odd-geometry", dram::uavDramSpec(oddGeometry, 400e6, 200e6), 24},
     };
 }
 

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -318,6 +319,156 @@ TEST(SharedGaussianProcess, RefitsWhenInputsAreNotAnExtension)
     shared.fit(retargeted.inputs, retargeted.targets);
     EXPECT_EQ(shared.reusedRows(), 25u);
     expectBitIdenticalPredictions(shared, retargeted, 25, 7);
+}
+
+// Four-lane predictBlock(): every lane bit-identical to the reference
+// shared GP answering one query at a time, and to per-objective GPs.
+
+namespace
+{
+
+bool
+sameBits(double a, double b)
+{
+    return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+/**
+ * Scores @p queries through predictBlock() at every block size 1..4 (a
+ * window sliding one query at a time, so each query sits in every lane)
+ * and checks each posterior bitwise against @p perQuery and @p
+ * perObjective. Returns how many lane posteriors had a clamped (zero)
+ * variance.
+ */
+std::size_t
+expectBlocksMatchReference(
+    const dse::SharedGaussianProcess &shared,
+    const dse::reference::SharedGaussianProcess &perQuery,
+    const std::vector<dse::GaussianProcess> &perObjective,
+    const std::vector<std::vector<double>> &queries, std::size_t n)
+{
+    const std::size_t targets = perObjective.size();
+    EXPECT_EQ(shared.targets(), targets);
+    std::size_t clamped = 0;
+    std::vector<dse::GpPrediction> out(
+        dse::SharedGaussianProcess::kBlockLanes * targets);
+    for (std::size_t count = 1;
+         count <= dse::SharedGaussianProcess::kBlockLanes; ++count) {
+        for (std::size_t first = 0; first + count <= queries.size();
+             ++first) {
+            shared.predictBlock(&queries[first], count, out.data());
+            for (std::size_t j = 0; j < count; ++j) {
+                const std::vector<double> &query = queries[first + j];
+                const std::vector<dse::GpPrediction> expected =
+                    perQuery.predict(query);
+                for (std::size_t t = 0; t < targets; ++t) {
+                    const dse::GpPrediction &got = out[j * targets + t];
+                    const dse::GpPrediction single =
+                        perObjective[t].predict(query);
+                    EXPECT_TRUE(sameBits(got.mean, expected[t].mean) &&
+                                sameBits(got.variance,
+                                         expected[t].variance) &&
+                                sameBits(got.mean, single.mean) &&
+                                sameBits(got.variance, single.variance))
+                        << "n = " << n << ", count = " << count
+                        << ", lane " << j << ", query " << first + j
+                        << ", target " << t;
+                    clamped += got.variance == 0.0;
+                }
+            }
+        }
+    }
+    return clamped;
+}
+
+/** Two training inputs, random points, and repeats within a block. */
+std::vector<std::vector<double>>
+blockQueries(const GpData &data, std::size_t n, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<std::vector<double>> queries;
+    queries.push_back(data.inputs[0]);
+    queries.push_back(data.inputs[n - 1]);
+    for (int q = 0; q < 9; ++q) {
+        std::vector<double> x(7);
+        for (double &value : x)
+            value = rng.uniform();
+        queries.push_back(x);
+    }
+    // Duplicates: a point repeated in adjacent lanes and two lanes apart.
+    queries.push_back(queries[4]);
+    queries.push_back(queries[4]);
+    queries.push_back(queries[2]);
+    queries.push_back(queries[4]);
+    queries.push_back(data.inputs[0]);
+    return queries;
+}
+
+std::vector<dse::GaussianProcess>
+perObjectiveModels(const dse::GpParams &params, const GpData &data,
+                   std::size_t n)
+{
+    const std::vector<std::vector<double>> inputs(
+        data.inputs.begin(), data.inputs.begin() + n);
+    std::vector<dse::GaussianProcess> models;
+    for (const std::vector<double> &column : data.targets) {
+        dse::GaussianProcess gp(params);
+        gp.fit(inputs, std::vector<double>(column.begin(),
+                                           column.begin() + n));
+        models.push_back(std::move(gp));
+    }
+    return models;
+}
+
+} // namespace
+
+TEST(SharedGaussianProcess, PredictBlockBitIdenticalToReference)
+{
+    // The default kernel; a noiseless one with a large signal variance,
+    // where the factor's fixed 1e-9 jitter is below the solve's
+    // rounding, so the variance at a training input often rounds below
+    // zero and is clamped to 0; and length scales that are not (0.37)
+    // and are (4) a power of two, the kernel's divide and multiply
+    // paths.
+    dse::GpParams noiseless;
+    noiseless.signalVariance = 1e8;
+    noiseless.noiseVariance = 0.0;
+    dse::GpParams inexactScale;
+    inexactScale.lengthScale = 0.37;
+    dse::GpParams longScale;
+    longScale.lengthScale = 4.0;
+    std::size_t clamped = 0;
+    for (const dse::GpParams &params :
+         {dse::GpParams(), noiseless, inexactScale, longScale}) {
+        for (std::size_t n : {1u, 2u, 3u, 17u, 100u, 257u}) {
+            const GpData data = randomGpData(n, 40 + n);
+            const std::vector<std::vector<double>> queries =
+                blockQueries(data, n, n);
+            const std::vector<dse::GaussianProcess> perObjective =
+                perObjectiveModels(params, data, n);
+
+            // Fresh fit.
+            dse::SharedGaussianProcess fresh(params);
+            fresh.fit(data.inputs, data.targets);
+            dse::reference::SharedGaussianProcess perQuery(params);
+            perQuery.fit(data.inputs, data.targets);
+            clamped += expectBlocksMatchReference(fresh, perQuery,
+                                                  perObjective, queries, n);
+
+            // The same n reached by appendRows() from a smaller fit.
+            if (n < 2)
+                continue;
+            dse::SharedGaussianProcess grown(params);
+            const std::size_t half = n / 2;
+            grown.fit({data.inputs.begin(), data.inputs.begin() + half},
+                      prefixTargets(data, half));
+            grown.fit(data.inputs, data.targets);
+            EXPECT_EQ(grown.reusedRows(), half);
+            clamped += expectBlocksMatchReference(grown, perQuery,
+                                                  perObjective, queries, n);
+        }
+    }
+    EXPECT_GT(clamped, 0u);
 }
 
 TEST(GaussianProcessDeath, PredictBeforeFit)

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <sstream>
 
+#include "reference/gaussian_process.h"
 #include "util/matrix.h"
 #include "util/rng.h"
 #include "util/stats.h"
@@ -265,7 +266,7 @@ TEST(Matrix, CholeskySolveLowerInPlaceMatchesCopy)
         value = rng.normal();
     std::vector<double> in_place = b;
     factor.solveLowerInPlace(in_place);
-    EXPECT_EQ(in_place, factor.solveLower(b));
+    EXPECT_EQ(in_place, au::solveLower(factor, b));
 }
 
 // -------------------------------------------------------------- table ----
