@@ -2,8 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the library's hot paths: the two
  * systolic engines (and one layer each through the cycle engine and the
- * bank-level dram tier), the GP surrogate, hypervolume, one SMS-EGO
- * iteration (GP fit, acquisition screen, hypervolume update), episode
+ * bank-level dram tier, plus that tier's background drain alone), the GP
+ * surrogate, hypervolume, one SMS-EGO iteration (GP fit, acquisition
+ * screen, hypervolume update), episode
  * rollouts, and the batch-parallel evaluation core at 1/2/4/8 worker
  * threads. These quantify the cost of one Phase 2 evaluation and one Phase 1 validation
  * - the quantities that set AutoPilot's end-to-end runtime - and the
@@ -24,6 +25,7 @@
 
 #include "airlearning/rollout.h"
 #include "airlearning/trainer.h"
+#include "dram/channel.h"
 #include "dram/config.h"
 #include "dram/engine.h"
 #include "dse/eval_backend.h"
@@ -223,6 +225,33 @@ BENCHMARK_CAPTURE(BM_DramRunLayer, conv2_open, "conv2",
 BENCHMARK_CAPTURE(BM_DramRunLayer, conv2_closed, "conv2",
                   dram::RowPolicy::Closed)
     ->Unit(benchmark::kMicrosecond);
+
+/**
+ * The channel's background drain alone: one ChannelTimeline under the
+ * UAV channel (400 MB/s camera, 200 MB/s random host, open rows) fed
+ * 256 B NPU reads spaced state.range(0) cycles apart, so each transfer
+ * first drains the background bursts that arrived in the gap: about two
+ * at 60 cycles, fourteen at 300 and 4,700 at 1e5. ns_per_burst is the
+ * wall time per background burst, the NPU's own share included.
+ */
+void
+BM_DramDrain(benchmark::State &state)
+{
+    systolic::AcceleratorConfig config;
+    config.peRows = 16;
+    config.peCols = 16;
+    const std::int64_t gap = state.range(0);
+    dram::ChannelTimeline channel(
+        dram::uavDramSpec(dram::DramTiming{}, 400e6, 200e6), config);
+    std::int64_t cycle = 0;
+    for (auto _ : state)
+        cycle = channel.transfer(cycle + gap, 256, false);
+    benchmark::DoNotOptimize(cycle);
+    state.counters["ns_per_burst"] = benchmark::Counter(
+        static_cast<double>(channel.stats().backgroundRequests) * 1e-9,
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_DramDrain)->Arg(60)->Arg(300)->Arg(100000);
 
 void
 BM_NpuPowerEstimate(benchmark::State &state)

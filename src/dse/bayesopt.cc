@@ -92,30 +92,34 @@ BayesOpt::optimize(DseEvaluator &evaluator, const OptimizerConfig &config)
             models.fit(inputs, targets);
         }
 
-        // Current front and reference for the S-metric.
-        std::vector<Objectives> archive_points;
-        archive_points.reserve(result.archive.size());
-        for (const Evaluation &evaluation : result.archive)
-            archive_points.push_back(evaluation.objectives);
-        const std::vector<Objectives> front = paretoFront(archive_points);
-        const HypervolumeGain gain(front, config.referencePoint);
-
-        // Candidate pool: random unvisited encodings plus neighbours of
-        // the front (local refinement).
+        // Current front and candidate pool: random unvisited encodings
+        // plus neighbours of the archive (local refinement).
+        std::vector<Objectives> front;
         std::vector<Encoding> pool;
-        for (int c = 0; c < cfg.candidatePool; ++c) {
-            const Encoding candidate = space.randomEncoding(rng);
-            if (!visited.count(candidate))
-                pool.push_back(candidate);
-        }
-        for (const Evaluation &evaluation : result.archive) {
-            const Encoding candidate =
-                space.neighbor(evaluation.encoding, rng);
-            if (!visited.count(candidate))
-                pool.push_back(candidate);
+        {
+            util::TraceSpan candidates_span("bo.candidates", "optimizer");
+            std::vector<Objectives> archive_points;
+            archive_points.reserve(result.archive.size());
+            for (const Evaluation &evaluation : result.archive)
+                archive_points.push_back(evaluation.objectives);
+            front = paretoFront(archive_points);
+
+            for (int c = 0; c < cfg.candidatePool; ++c) {
+                const Encoding candidate = space.randomEncoding(rng);
+                if (!visited.count(candidate))
+                    pool.push_back(candidate);
+            }
+            for (const Evaluation &evaluation : result.archive) {
+                const Encoding candidate =
+                    space.neighbor(evaluation.encoding, rng);
+                if (!visited.count(candidate))
+                    pool.push_back(candidate);
+            }
         }
         if (pool.empty())
             break; // Space exhausted around the archive.
+        // Reference for the S-metric.
+        const HypervolumeGain gain(front, config.referencePoint);
 
         // Score the pool with the SMS-EGO acquisition, screening blocks
         // of four candidates in parallel on the evaluator's pool (one GP

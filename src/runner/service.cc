@@ -671,7 +671,7 @@ CampaignService::admitFairShare(ServiceReport &report)
         cc.sharedPool = sharedPool.get();
 
         Active *handle = campaign.get();
-        campaign->thread = std::thread([handle, cc]() {
+        campaign->thread = std::thread([this, handle, cc]() {
             try {
                 CampaignRunner runner(cc);
                 const std::vector<CampaignTask> tasks = {
@@ -686,7 +686,13 @@ CampaignService::admitFairShare(ServiceReport &report)
                     std::string("campaign thread: ") + error.what();
                 handle->report.outcomes = {outcome};
             }
-            handle->done.store(true, std::memory_order_release);
+            {
+                // Under the mutex, so serve() cannot test the flag and
+                // then sleep through this notification.
+                const std::lock_guard<std::mutex> lock(finishedMutex);
+                handle->done.store(true, std::memory_order_release);
+            }
+            campaignFinished.notify_one();
         });
         active.push_back(std::move(campaign));
     }
@@ -754,6 +760,16 @@ CampaignService::reapFinished(ServiceReport &report)
     return reaped;
 }
 
+bool
+CampaignService::anyFinished() const
+{
+    return std::any_of(active.begin(), active.end(),
+                       [](const std::unique_ptr<Active> &campaign) {
+                           return campaign->done.load(
+                               std::memory_order_acquire);
+                       });
+}
+
 ServiceReport
 CampaignService::serve()
 {
@@ -790,9 +806,14 @@ CampaignService::serve()
             queuedCount == 0 && !progressed)
             break;
 
+        // Idle until the next inbox scan and stop check, or until a
+        // campaign finishes: then its slot is reaped and re-admitted
+        // at once instead of after the rest of the poll.
         if (!progressed && cfg.pollSeconds > 0.0) {
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(cfg.pollSeconds));
+            std::unique_lock<std::mutex> lock(finishedMutex);
+            campaignFinished.wait_for(
+                lock, std::chrono::duration<double>(cfg.pollSeconds),
+                [this] { return anyFinished(); });
         }
     }
     return report;

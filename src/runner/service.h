@@ -45,10 +45,12 @@
 #ifndef AUTOPILOT_RUNNER_SERVICE_H
 #define AUTOPILOT_RUNNER_SERVICE_H
 
+#include <condition_variable>
 #include <cstddef>
 #include <deque>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -137,7 +139,9 @@ struct ServiceConfig
     /// Worker threads in the shared work-stealing pool all campaigns
     /// execute on; 0 uses the hardware concurrency.
     int poolThreads = 0;
-    /// Inbox scan / reap interval.
+    /// Inbox scan and stop-check interval. A campaign that finishes
+    /// wakes serve() at once, so its slot is reaped and handed to the
+    /// next queued submission without waiting for this poll.
     double pollSeconds = 0.2;
     /// Retry policy applied to every campaign's tasks.
     util::RetryPolicy retry;
@@ -204,6 +208,7 @@ class CampaignService
     void admitFairShare(ServiceReport &report);
     bool reapFinished(ServiceReport &report);
     void finalize(Active &campaign, ServiceReport &report);
+    bool anyFinished() const;
 
     ServiceConfig cfg;
     std::unique_ptr<util::ThreadPool> sharedPool;
@@ -214,6 +219,10 @@ class CampaignService
     int admissionCounter = 0; ///< Global admission order stamp.
     std::size_t queuedCount = 0;
     bool served = false;
+    /// A campaign thread sets its Active::done under this mutex and
+    /// notifies campaignFinished; serve() waits on it between polls.
+    std::mutex finishedMutex;
+    std::condition_variable campaignFinished;
 };
 
 } // namespace autopilot::runner

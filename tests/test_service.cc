@@ -441,6 +441,32 @@ TEST(Service, FairShareAdmissionRotatesAcrossTenants)
     EXPECT_EQ(statusField(root, "alice-2", "admitted"), "2");
 }
 
+TEST(Service, FinishedCampaignHandsOffItsSlotAtOnce)
+{
+    // One slot, two campaigns, and a poll far longer than both runs: a
+    // finishing campaign must wake the service, which reaps it, admits
+    // the next one and returns after the second finishes, all without
+    // waiting for a poll. Sleeping out the poll would take two of them.
+    const fs::path root = testDir("handoff");
+    runner::ServiceConfig config = fastConfig(root);
+    config.maxActiveCampaigns = 1;
+    config.maxCampaigns = 2;
+    config.pollSeconds = 30.0;
+    runner::CampaignService service(config);
+    submit(root, "first", kSmallSubmission);
+    submit(root, "second", kSmallSubmission);
+
+    const auto start = std::chrono::steady_clock::now();
+    const runner::ServiceReport report = service.serve();
+    const double seconds = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    EXPECT_EQ(report.completed, 2u);
+    EXPECT_LT(seconds, 0.5 * config.pollSeconds);
+    EXPECT_EQ(statusField(root, "first", "admitted"), "0");
+    EXPECT_EQ(statusField(root, "second", "admitted"), "1");
+}
+
 TEST(Service, DuplicateIdIsRejectedAfterCompletion)
 {
     const fs::path root = testDir("duplicate");
